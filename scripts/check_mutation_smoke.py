@@ -11,9 +11,12 @@ Two subcommands around one ``repro serve --index`` session:
 
     * ``SESSION_OUT`` — the protocol lines to pipe into ``repro serve``
       (mutations, mid-soak queries, final query block, ``HEALTH``);
-    * ``EXPECTED_OUT`` — the final-query scores computed *offline* by
-      applying the whole schedule to a cold-opened engine
-      (:meth:`QueryEngine.with_mutations`), plus the schedule size.
+    * ``EXPECTED_OUT`` — the final block's answers computed *offline* by
+      a cold engine built from scratch on the mutated graph (the schedule
+      applied once with :meth:`QueryEngine.with_mutations` only to obtain
+      that graph), plus the schedule size.  The final block holds pair
+      scores, ``BATCH`` lines and ``TOPK`` lines, so the batch kernel and
+      the per-step tables a live write carries forward are checked too.
 
 ``verify SERVE_OUT EXPECTED_OUT``
     Parses the serve session's stdout and fails (exit 1) unless
@@ -21,8 +24,9 @@ Two subcommands around one ``repro serve --index`` session:
     * the session became ready and nothing was degraded;
     * every mutation line was acknowledged (``mutated: true``) with a
       strictly increasing epoch;
-    * the final query block is **bit-identical** to the offline cold
-      rebuild — the incremental-maintenance guarantee, end to end;
+    * the final pair, ``BATCH`` and ``TOPK`` answers are **bit-identical**
+      to the offline cold rebuild — the incremental-maintenance
+      guarantee, end to end;
     * the closing HEALTH snapshot reports every mutation applied.
 """
 
@@ -38,6 +42,12 @@ NUM_MUTATIONS = 100
 QUERY_EVERY = 5
 #: Final query block size (pairs scored after the full schedule).
 NUM_FINAL_PAIRS = 10
+#: ``BATCH`` lines in the final block, and candidates per line.
+NUM_FINAL_BATCHES = 3
+BATCH_CANDIDATES = 8
+#: ``TOPK`` lines in the final block, and their k.
+NUM_FINAL_TOPK = 3
+TOPK_K = 5
 SCHEDULE_SEED = 20260808
 
 
@@ -114,21 +124,55 @@ def _generate(index_path: str, session_out: str, expected_out: str) -> int:
             lines.append(f"{u} {v}")
     for u, v in final_pairs:
         lines.append(f"{u} {v}")
+    nodes = sorted(engine.graph.nodes(), key=str)
+    batches = []
+    for _ in range(NUM_FINAL_BATCHES):
+        picks = rng.choice(len(nodes), size=BATCH_CANDIDATES + 1, replace=False)
+        u, *candidates = [nodes[int(i)] for i in picks]
+        batches.append((u, candidates))
+        lines.append(f"BATCH {u} {' '.join(candidates)}")
+    topk_sources = [
+        nodes[int(i)]
+        for i in rng.choice(len(nodes), size=NUM_FINAL_TOPK, replace=False)
+    ]
+    for u in topk_sources:
+        lines.append(f"TOPK {u} {TOPK_K}")
     lines.append("HEALTH")
     Path(session_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    # the offline oracle: one cold-opened engine, the whole schedule at
-    # once — bit-identity makes "all at once" and "one per line" converge
-    mutated = engine.with_mutations(schedule)
+    # the offline oracle: a cold engine built from scratch on the graph
+    # the whole schedule produces — the serve session maintains its index
+    # incrementally, one write at a time, and must land on the same bits
+    mutated_graph = engine.with_mutations(schedule).graph
+    cold = QueryEngine(
+        mutated_graph.copy(),
+        engine.measure,
+        method="mc",
+        decay=engine.decay,
+        num_walks=engine.num_walks,
+        length=engine.length,
+        theta=engine.theta,
+        policy=engine.policy,
+        seed=engine._seed_key,
+    )
     expected = {
         "mutations": len(schedule),
         "pairs": [[u, v] for u, v in final_pairs],
-        "scores": [mutated.score(u, v) for u, v in final_pairs],
+        "scores": [cold.score(u, v) for u, v in final_pairs],
+        "batches": [
+            [u, candidates, [float(x) for x in cold.score_batch(u, candidates)]]
+            for u, candidates in batches
+        ],
+        "topk": [
+            [u, [[str(node), float(score)] for node, score in cold.top_k(u, TOPK_K)]]
+            for u in topk_sources
+        ],
     }
     Path(expected_out).write_text(json.dumps(expected), encoding="utf-8")
     print(
         f"check_mutation_smoke: wrote {len(schedule)} mutations, "
-        f"{len(lines)} protocol lines, {len(final_pairs)} oracle pairs"
+        f"{len(lines)} protocol lines, {len(final_pairs)} oracle pairs, "
+        f"{len(batches)} batches, {len(topk_sources)} top-k searches"
     )
     return 0
 
@@ -179,6 +223,36 @@ def _verify(serve_out: str, expected_out: str) -> int:
                 f"{response['value']} != {score}"
             )
 
+    batches = [r for r in body if "values" in r]
+    if len(batches) != len(expected["batches"]):
+        _fail(
+            f"expected {len(expected['batches'])} BATCH answers, "
+            f"session produced {len(batches)}"
+        )
+    for response, (u, candidates, values) in zip(batches, expected["batches"]):
+        if [response["u"], response["candidates"]] != [u, candidates]:
+            _fail(f"BATCH order drifted: {response} vs {(u, candidates)}")
+        if response["values"] != values:
+            _fail(
+                f"BATCH {u} drifted from the cold rebuild: "
+                f"{response['values']} != {values}"
+            )
+
+    topks = [r for r in body if "results" in r]
+    if len(topks) != len(expected["topk"]):
+        _fail(
+            f"expected {len(expected['topk'])} TOPK answers, "
+            f"session produced {len(topks)}"
+        )
+    for response, (u, results) in zip(topks, expected["topk"]):
+        if response["u"] != u:
+            _fail(f"TOPK order drifted: {response} vs {u}")
+        if response["results"] != results:
+            _fail(
+                f"TOPK {u} drifted from the cold rebuild: "
+                f"{response['results']} != {results}"
+            )
+
     health = responses[-1]
     if health.get("mutations_applied") != expected["mutations"]:
         _fail(
@@ -189,7 +263,8 @@ def _verify(serve_out: str, expected_out: str) -> int:
     print(
         "check_mutation_smoke: OK — "
         f"{expected['mutations']} live mutations, final "
-        f"{len(expected['pairs'])} scores bit-identical to a cold rebuild"
+        f"{len(expected['pairs'])} scores, {len(batches)} batches and "
+        f"{len(topks)} top-k lists bit-identical to a cold rebuild"
     )
     return 0
 

@@ -289,6 +289,10 @@ class QueryEngine:
         self._cache_identity: dict | None = None
         self._dynamic: DynamicWalkIndex | None = None
         self._parent_fingerprint: str | None = None
+        self._refresh_deferred = False
+        #: Walk rows whose step tables the last mutation recomputed (``None``
+        #: before any mutation, or when the tables fell back to a full build).
+        self.touched_walks: int | None = None
 
         self.walk_index: WalkIndex | None = None
         self._table: SemSim | SimRank | None = None
@@ -845,9 +849,15 @@ class QueryEngine:
         clone = copy.copy(self)
         clone._dynamic = None
         clone._parent_fingerprint = None
+        clone._refresh_deferred = True
         for mutation in mutations:
             kind, *args = mutation
             clone.apply_mutation(kind, *args)
+        clone._refresh_deferred = False
+        if clone._dynamic is not None:
+            # One estimator (and one step-table derivation) per batch,
+            # against the pre-batch parent's estimator.
+            clone._refresh_estimator()
         return clone
 
     def mutation_lineage(self) -> dict | None:
@@ -894,7 +904,10 @@ class QueryEngine:
     def _mutate(self, apply) -> int:
         dynamic = self._ensure_dynamic()
         resampled = apply(dynamic)
-        self._refresh_estimator()
+        # The cache identity described the pre-mutation graph.
+        self._cache_identity = None
+        if not self._refresh_deferred:
+            self._refresh_estimator()
         return resampled
 
     def _ensure_dynamic(self) -> DynamicWalkIndex:
@@ -915,7 +928,11 @@ class QueryEngine:
                     "graph mutations require an integer seed: incremental "
                     "maintenance re-derives the walk draw schedule from it"
                 )
-            self._parent_fingerprint = fingerprint_graph(self.graph)
+            identity = self._cache_identity
+            self._parent_fingerprint = (
+                identity["graph"] if identity is not None
+                else fingerprint_graph(self.graph)
+            )
             self._dynamic = DynamicWalkIndex.from_walk_index(
                 self.walk_index, seed=self._seed_key
             )
@@ -930,7 +947,15 @@ class QueryEngine:
         the old one raises :class:`~repro.errors.StaleIndexError`, so the
         engine swaps in a fresh one recording the new epoch.  ``stats``
         restarts with it (the registry mirror keeps the running totals).
+        A semantic estimator derives its per-step ``W``/``Q`` tables from
+        the outgoing estimator's, recomputing only the walks the mutations
+        touched (:meth:`MonteCarloSemSim.derive_step_tables`);
+        :attr:`touched_walks` records how many, ``None`` when the tables
+        were left to the lazy full build.
         """
+        parent = self.estimator
+        touched = self._dynamic.take_touched_walks()
+        self.touched_walks = None
         if self.measure is None:
             self.estimator = MonteCarloSimRank(
                 self.walk_index, decay=self.decay, backend=self.backend
@@ -943,6 +968,12 @@ class QueryEngine:
                 theta=self.theta,
                 backend=self.backend,
             )
+            if isinstance(parent, MonteCarloSemSim):
+                with span("engine.derive_tables") as derive:
+                    self.touched_walks = self.estimator.derive_step_tables(
+                        parent, touched
+                    )
+                    derive.attrs["touched"] = self.touched_walks
         self.stats = self.estimator.stats
 
     @classmethod

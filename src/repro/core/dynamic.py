@@ -50,6 +50,7 @@ from repro.hin.graph import (
     DEFAULT_NODE_LABEL,
     DEFAULT_WEIGHT,
     HIN,
+    GraphIndex,
     Node,
 )
 
@@ -76,33 +77,73 @@ def _seed_entropy(seed: int | None) -> int:
     )
 
 
-def _changed_rows(old: _TransitionTables, new: _TransitionTables) -> np.ndarray:
-    """Boolean mask over *new*'s rows whose stepping data differs from *old*.
+def _row_diff(old_degrees, new_degrees, old_edges, new_edges) -> np.ndarray:
+    """Boolean mask over the new rows whose per-edge data differs bitwise.
 
-    Rows past ``old``'s node count (appended nodes) are always changed.
-    Equal-degree rows contribute aligned subsequences to both flattened edge
-    arrays, so the comparison is a single vectorised pass — no per-row loop.
+    *old_edges*/*new_edges* are aligned tuples of flattened per-edge arrays
+    (CSR order, row lengths given by the degrees).  Rows past the old node
+    count (appended nodes) and rows whose degree changed are always
+    changed.  Equal-degree rows contribute aligned subsequences to every
+    flattened array, so the comparison is a single vectorised pass — no
+    per-row loop.
     """
-    old_n = old.degrees.size
-    new_n = new.degrees.size
+    old_n = old_degrees.size
+    new_n = new_degrees.size
     changed = np.ones(new_n, dtype=bool)
     common = min(old_n, new_n)
     if common == 0:
         return changed
     deg_eq = np.zeros(max(old_n, new_n), dtype=bool)
-    deg_eq[:common] = old.degrees[:common] == new.degrees[:common]
+    deg_eq[:common] = old_degrees[:common] == new_degrees[:common]
     changed[:common] = ~deg_eq[:common]
     if not deg_eq.any():
         return changed
-    old_rows = np.repeat(np.arange(old_n), old.degrees)
-    new_rows = np.repeat(np.arange(new_n), new.degrees)
+    old_rows = np.repeat(np.arange(old_n), old_degrees)
+    new_rows = np.repeat(np.arange(new_n), new_degrees)
     old_mask = deg_eq[old_rows]
     new_mask = deg_eq[new_rows]
-    diff = (old.targets[old_mask] != new.targets[new_mask]) | (
-        old.aug_cumprob[old_mask] != new.aug_cumprob[new_mask]
-    )
+    diff = np.zeros(int(old_mask.sum()), dtype=bool)
+    for old_values, new_values in zip(old_edges, new_edges):
+        diff |= old_values[old_mask] != new_values[new_mask]
     if diff.any():
         changed[np.unique(old_rows[old_mask][diff])] = True
+    return changed
+
+
+def _changed_rows(old: _TransitionTables, new: _TransitionTables) -> np.ndarray:
+    """Boolean mask over *new*'s rows whose stepping data differs from *old*."""
+    return _row_diff(
+        old.degrees, new.degrees,
+        (old.targets, old.aug_cumprob), (new.targets, new.aug_cumprob),
+    )
+
+
+def _flat_in_weights(index: GraphIndex) -> np.ndarray:
+    if not index.in_weights:
+        return np.empty(0, dtype=np.float64)
+    return np.concatenate(index.in_weights).astype(np.float64, copy=False)
+
+
+def _changed_step_inputs(
+    old_index: GraphIndex,
+    new_index: GraphIndex,
+    old: _TransitionTables,
+    new: _TransitionTables,
+) -> np.ndarray:
+    """Rows whose in-list, in-weights, degree or weight sum changed bitwise.
+
+    These are the inputs of a walk step's ``W``/``Q`` table entries (see
+    :meth:`repro.core.montecarlo.MonteCarloSemSim.derive_step_tables`).
+    Under the UNIFORM policy a re-weight changes ``W`` without changing
+    the transition row, so this set is not implied by :func:`_changed_rows`.
+    """
+    changed = _row_diff(
+        old.degrees, new.degrees,
+        (old.targets, _flat_in_weights(old_index)),
+        (new.targets, _flat_in_weights(new_index)),
+    )
+    common = min(old.weight_sums.size, new.weight_sums.size)
+    changed[:common] |= old.weight_sums[:common] != new.weight_sums[:common]
     return changed
 
 
@@ -140,6 +181,7 @@ class DynamicWalkIndex:
         self.updates_applied = 0
         self.walks_resampled = 0
         self.mutation_log: list[MutationRecord] = []
+        self._reset_touched()
 
     @classmethod
     def from_walk_index(
@@ -176,17 +218,23 @@ class DynamicWalkIndex:
         dynamic._entropy = entropy
         dynamic.graph = source.graph.copy()
         walks = np.array(source.walks, dtype=source.walks.dtype, copy=True)
+        # The source's tables, not a recompile: they are what the walks were
+        # stepped with.  A graph restored from an artifact can list
+        # in-neighbours in another order, and the first repair must see
+        # every row whose stepping data differs from the walks' own.
         dynamic._inner = WalkIndex.from_arrays(
             dynamic.graph,
             walks,
             num_walks=source.num_walks,
             length=source.length,
             policy=source.policy,
+            tables=source.tables,
         )
         dynamic.epoch = int(getattr(walk_index, "epoch", 0))
         dynamic.updates_applied = 0
         dynamic.walks_resampled = 0
         dynamic.mutation_log = []
+        dynamic._reset_touched()
         return dynamic
 
     # ------------------------------------------------------------------
@@ -309,6 +357,23 @@ class DynamicWalkIndex:
             (node,),
         )
 
+    def take_touched_walks(self) -> np.ndarray | None:
+        """Return, and restart, the walks whose step inputs may have changed.
+
+        The mask is ``(num_nodes, num_walks)`` and covers every mutation
+        since the previous call (or since construction/promotion): walks
+        :meth:`_repair` re-stepped, plus walks visiting, at an offset
+        ``< length``, a node whose in-list, in-weights, degree or weight
+        sum changed.  Every other walk has the same path and the same
+        per-step ``W``/``Q`` inputs as before, so an estimator's step
+        tables can be carried forward for it.  Returns ``None`` when the
+        tensor grew (:meth:`add_node`): rows were appended, so no
+        row-for-row carry-over exists.
+        """
+        touched = None if self._tensor_grew else self._touched
+        self._reset_touched()
+        return touched
+
     def mutation_log_hash(self) -> str:
         """SHA-256 over the JSON-encoded mutation log (lineage addressing)."""
         payload = json.dumps(self.mutation_log, separators=(",", ":"))
@@ -317,10 +382,15 @@ class DynamicWalkIndex:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _reset_touched(self) -> None:
+        self._touched = np.zeros(self.walks.shape[:2], dtype=bool)
+        self._tensor_grew = False
+
     def _apply(self, record, mutate, node_candidates) -> int:
         # Compile (or reuse) the pre-mutation tables before touching the
-        # graph: the bitwise row diff below needs both sides.
+        # graph: the bitwise row diffs below need both sides.
         old_tables = self._inner.tables
+        old_index = self._inner.index
         old_count = self._inner.index.num_nodes
         new_nodes = [n for n in node_candidates if n not in self.graph]
         mutate()  # validation errors raise here, leaving state untouched
@@ -328,7 +398,12 @@ class DynamicWalkIndex:
         new_tables = _TransitionTables(self._inner.index, self.policy)
         self._inner._tables = new_tables
         self._grow_for(new_nodes, old_count)
-        resampled = self._repair(old_tables, new_tables)
+        resampled = self._repair(
+            _changed_rows(old_tables, new_tables),
+            _changed_step_inputs(
+                old_index, self._inner.index, old_tables, new_tables
+            ),
+        )
         self.epoch += 1
         self.updates_applied += 1
         self.walks_resampled += resampled
@@ -358,22 +433,40 @@ class DynamicWalkIndex:
             assert position == old_count + offset
             grown[position, :, 0] = position
         self._inner.walks = grown
+        self._tensor_grew = True
 
-    def _repair(self, old_tables, new_tables) -> int:
-        """Re-step every walk whose remaining path could differ; return count."""
-        changed = _changed_rows(old_tables, new_tables)
-        if not changed.any():
+    def _repair(self, changed: np.ndarray, inputs_changed: np.ndarray) -> int:
+        """Re-step every walk whose remaining path could differ; return count.
+
+        *changed* marks rows whose transition data changed (their visitors
+        are re-stepped); *inputs_changed* marks rows whose step-table
+        inputs changed.  One gather over the tensor finds the visitors of
+        either set for the :meth:`take_touched_walks` mask.
+        """
+        marked = changed | inputs_changed
+        if not marked.any():
             return 0
         walks = self._inner.walks
         # Sentinel slot at index n stays False so dead (-1) steps never match.
         lookup = np.zeros(self._inner.index.num_nodes + 1, dtype=bool)
-        lookup[np.flatnonzero(changed)] = True
+        lookup[np.flatnonzero(marked)] = True
         # A visit at the final offset has no outgoing step to repair.
         visited = lookup[walks[:, :, : self.length]]
         node_ids, walk_ids = np.nonzero(visited.any(axis=2))
         if node_ids.size == 0:
             return 0
-        starts = visited[node_ids, walk_ids].argmax(axis=1).astype(np.int64)
+        if not self._tensor_grew:
+            self._touched[node_ids, walk_ids] = True
+        # Of those, re-step the visitors of transition-changed rows only,
+        # found on the gathered subset.
+        lookup[:] = False
+        lookup[np.flatnonzero(changed)] = True
+        visited = lookup[walks[node_ids, walk_ids, : self.length]]
+        keep = visited.any(axis=1)
+        node_ids, walk_ids = node_ids[keep], walk_ids[keep]
+        if node_ids.size == 0:
+            return 0
+        starts = visited[keep].argmax(axis=1).astype(np.int64)
         self._restep(node_ids, walk_ids, starts)
         return int(node_ids.size)
 

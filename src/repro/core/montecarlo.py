@@ -696,16 +696,61 @@ class MonteCarloSemSim:
         """
         if self._step_weights is not None:
             return
-        walks = self.walk_index.walks
-        current = walks[:, :, :-1].astype(np.int64)
-        nxt = walks[:, :, 1:].astype(np.int64)
+        weights, q = self._step_rows(self.walk_index.walks)
+        # ``_step_weights`` is the "built" flag readers test: publish last.
+        self._step_q = q
+        self._step_weights = weights
+
+    def derive_step_tables(
+        self, parent: "MonteCarloSemSim", touched: np.ndarray | None
+    ) -> int | None:
+        """Carry *parent*'s step tables forward, recomputing *touched* rows.
+
+        *parent* is the estimator of the generation this one was mutated
+        from and *touched* the ``(num_nodes, num_walks)`` mask of walks
+        whose path or step inputs may differ since
+        (:meth:`repro.core.dynamic.DynamicWalkIndex.take_touched_walks`).
+        Every other row is copied: its path and its ``W``/``Q`` inputs are
+        unchanged, and the touched rows go through the same elementwise
+        :meth:`_step_rows` arithmetic as a full build, so the result is
+        bitwise what :meth:`_ensure_step_tables` would produce — at the
+        cost of the touched walks instead of the whole tensor.
+
+        The parent's arrays (possibly read-only memmaps) are never written.
+        Returns the number of rows recomputed, or ``None`` (tables left to
+        the lazy full build) when the parent never built its tables or
+        *touched* is ``None`` (the tensor grew).
+        """
+        parent_weights, parent_q = parent._step_weights, parent._step_q
+        if touched is None or parent_weights is None or parent_q is None:
+            return None
+        node_ids, walk_ids = np.nonzero(touched)
+        if node_ids.size == 0:
+            # Nothing moved: share the parent's (never written) arrays.
+            self._step_q, self._step_weights = parent_q, parent_weights
+            return 0
+        weights = np.array(parent_weights, copy=True)
+        q = np.array(parent_q, copy=True)
+        weights[node_ids, walk_ids], q[node_ids, walk_ids] = self._step_rows(
+            self.walk_index.walks[node_ids, walk_ids]
+        )
+        self._step_q, self._step_weights = q, weights
+        return int(node_ids.size)
+
+    def _step_rows(self, walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(W, Q)`` per step of *walks* (``(..., length + 1)`` node ids).
+
+        Purely elementwise, so a subset of rows yields bitwise the same
+        values as the full tensor.
+        """
+        current = walks[..., :-1].astype(np.int64)
+        nxt = walks[..., 1:].astype(np.int64)
         valid = (current >= 0) & (nxt >= 0)
         cur0 = np.where(valid, current, 0)
         nxt0 = np.where(valid, nxt, 0)
         weights = self._edge_weight_lookup(cur0, nxt0)
         q = self._q_probability_lookup(cur0, weights)
-        self._step_weights = np.where(valid, weights, 0.0)
-        self._step_q = np.where(valid, q, 0.0)
+        return np.where(valid, weights, 0.0), np.where(valid, q, 0.0)
 
     def _ensure_edge_tables(self) -> None:
         """Build the sorted ``(current, next) -> W(next, current)`` table.

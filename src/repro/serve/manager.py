@@ -146,6 +146,10 @@ class IndexManager:
         self._rebuild_in_flight = False
         self._generation = 0
         self._mutations_applied = 0
+        #: Key of the artifact the primary engine was opened or built from.
+        self._base_key: str | None = None
+        #: ``(store, key)`` of the persisted mutated generation now served.
+        self._generation_artifact: tuple[ArtifactStore, str] | None = None
         self._last_error: BaseException | None = None
 
     # ------------------------------------------------------------------
@@ -224,7 +228,11 @@ class IndexManager:
         written **before** publication; a failed write raises
         :class:`~repro.store.StoreError` and leaves the old generation
         serving.  The retired generation is dropped by reference once the
-        last in-flight query releases it.
+        last in-flight query releases it, and its artifact — when it was a
+        persisted *mutated* generation — is deleted from the store once the
+        new one is published.  The base artifact and the key now served are
+        never deleted (add-then-remove can return to the base key), so the
+        store holds at most the base and the newest generation.
 
         Each mutation is a ``(kind, *args)`` tuple (``add_edge``,
         ``set_weight``, ``remove_edge``, ``add_node``).  Validation errors
@@ -243,7 +251,7 @@ class IndexManager:
             started = self.clock()
             with span("serve.apply_mutations", count=len(mutations)):
                 next_engine = engine.with_mutations(mutations)
-                artifact_key = None
+                artifact_key = store = None
                 if persist:
                     store = self._mutation_store(next_engine)
                     if store is not None:
@@ -258,16 +266,19 @@ class IndexManager:
                             raise
                 with self._lock:
                     self._publish(next_engine, degraded=False)
+                self._retire_generation_artifact(store, artifact_key)
             elapsed = self.clock() - started
             self._mutations_applied += len(mutations)
             if is_enabled():
                 for mutation in mutations:
                     MUTATIONS_APPLIED.labels(kind=str(mutation[0])).inc()
                 INDEX_SWAP_SECONDS.observe(max(0.0, elapsed))
+            touched = next_engine.touched_walks
             log_event(
                 _LOG, "serve.mutations_applied",
                 count=len(mutations), generation=self._generation,
                 epoch=next_engine.index_epoch, artifact=artifact_key,
+                touched=touched,
             )
             return {
                 "applied": len(mutations),
@@ -275,12 +286,44 @@ class IndexManager:
                     int(next_engine._dynamic.walks_resampled)
                     if next_engine._dynamic is not None else 0
                 ),
+                "touched": touched,
                 "generation": self._generation,
                 "epoch": next_engine.index_epoch,
                 "lineage": next_engine.mutation_lineage(),
                 "artifact": artifact_key,
                 "swap_seconds": max(0.0, elapsed),
             }
+
+    def _retire_generation_artifact(
+        self, store: ArtifactStore | None, served_key: str | None
+    ) -> None:
+        """Delete the superseded mutated generation's artifact, if any.
+
+        Only keys this method recorded as persisted generations are ever
+        deleted — never the base artifact the serving stack was opened
+        from, and never *served_key*.  Nothing reads a superseded
+        generation back (a restart keys to the base artifact), so keeping
+        it only grows the store.  A failed delete is logged, not raised:
+        the new generation is already published.
+        """
+        retired = self._generation_artifact
+        self._generation_artifact = (
+            (store, served_key)
+            if served_key not in (None, self._base_key)
+            else None
+        )
+        if retired is None:
+            return
+        retired_store, retired_key = retired
+        if retired_key in (served_key, self._base_key):
+            return
+        try:
+            retired_store.delete(retired_key)
+        except OSError as exc:
+            log_event(
+                _LOG, "serve.generation_delete_failed",
+                key=retired_key[:12], error=str(exc),
+            )
 
     def _mutation_store(self, engine: QueryEngine) -> ArtifactStore | None:
         """The store new generations persist into (``None`` disables it)."""
@@ -414,6 +457,7 @@ class IndexManager:
                         on_retry=count_retry,
                     )
                 self.breaker.record_success()
+                self._base_key = engine.cache_key
                 self._publish(engine, degraded=False)
                 log_event(_LOG, "serve.primary_ready", method=engine.method)
                 return retries
@@ -502,6 +546,7 @@ class IndexManager:
                 return False
             self.breaker.record_success()
             with self._lock:
+                self._base_key = engine.cache_key
                 self._publish(engine, degraded=False)
             self._last_error = None
             if is_enabled():

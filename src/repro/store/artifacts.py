@@ -117,13 +117,18 @@ class StoredArtifact:
         return sum(int(spec["nbytes"]) for spec in self.manifest["arrays"].values())
 
 
+def _digest(data: np.ndarray) -> str:
+    """sha256 of a C-contiguous array's bytes, hashed in place (no copy)."""
+    return hashlib.sha256(memoryview(data.reshape(-1)).cast("B")).hexdigest()
+
+
 def _array_spec(array: np.ndarray) -> dict:
     data = np.ascontiguousarray(array)
     return {
         "dtype": str(data.dtype),
         "shape": list(data.shape),
         "nbytes": int(data.nbytes),
-        "sha256": hashlib.sha256(data.tobytes()).hexdigest(),
+        "sha256": _digest(data),
     }
 
 
@@ -155,8 +160,10 @@ def write_artifact(
             np.save(staging / f"{name}.npy", np.ascontiguousarray(array),
                     allow_pickle=False)
         for name, document in (documents or {}).items():
+            # Compact: the graph document is the largest one, and readers
+            # parse any JSON layout.
             (staging / f"{name}.json").write_text(
-                json.dumps(document, indent=1), encoding="utf-8"
+                json.dumps(document, separators=(",", ":")), encoding="utf-8"
             )
         (staging / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8"
@@ -320,9 +327,7 @@ class ArtifactStore:
         """
         artifact = self.get(key, mmap=True)
         for name, spec in artifact.manifest["arrays"].items():
-            digest = hashlib.sha256(
-                np.ascontiguousarray(artifact.arrays[name]).tobytes()
-            ).hexdigest()
+            digest = _digest(np.ascontiguousarray(artifact.arrays[name]))
             if digest != spec["sha256"]:
                 raise StoreError(
                     f"artifact array {name}.npy at {artifact.path} fails its "

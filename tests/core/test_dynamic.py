@@ -87,6 +87,59 @@ class TestUpdates:
         assert np.all(walks_e[:, 1] == d_pos)
 
 
+class TestTouchedWalks:
+    """The mask of walks whose step-table inputs a mutation may change."""
+
+    @staticmethod
+    def visitors(walks, position):
+        # visits at offsets < length: the final offset takes no step
+        return (walks[:, :, :-1] == position).any(axis=2)
+
+    def test_uniform_reweight_touches_visitors_without_restepping(self):
+        dynamic = DynamicWalkIndex(small_graph(), num_walks=30, length=5, seed=0)
+        before = dynamic.walks.copy()
+        assert dynamic.set_weight("a", "b", 4.0) == 0  # no transition moved
+        assert np.array_equal(dynamic.walks, before)
+        touched = dynamic.take_touched_walks()
+        expected = self.visitors(before, dynamic.node_position("b"))
+        assert expected.any()
+        assert np.array_equal(touched, expected)
+
+    def test_accumulates_until_taken(self):
+        dynamic = DynamicWalkIndex(small_graph(), num_walks=30, length=5, seed=0)
+        before = dynamic.walks.copy()
+        dynamic.set_weight("a", "b", 2.0)
+        dynamic.set_weight("d", "c", 3.0)
+        touched = dynamic.take_touched_walks()
+        expected = self.visitors(before, dynamic.node_position("b")) | (
+            self.visitors(before, dynamic.node_position("c"))
+        )
+        assert np.array_equal(touched, expected)
+        assert not dynamic.take_touched_walks().any()  # restarted
+
+    def test_restepped_walks_are_touched(self):
+        dynamic = DynamicWalkIndex(small_graph(), num_walks=30, length=5, seed=0)
+        before = dynamic.walks.copy()
+        resampled = dynamic.add_edge("d", "a", weight=1.0)
+        touched = dynamic.take_touched_walks()
+        assert int(touched.sum()) == resampled
+        assert np.array_equal(
+            touched, self.visitors(before, dynamic.node_position("a"))
+        )
+
+    def test_growth_gives_no_row_for_row_mask(self):
+        dynamic = DynamicWalkIndex(small_graph(), num_walks=10, length=4, seed=0)
+        dynamic.add_node("island")
+        assert dynamic.take_touched_walks() is None
+        assert dynamic.take_touched_walks().shape == (5, 10)
+
+    def test_promotion_starts_a_fresh_mask(self):
+        dynamic = DynamicWalkIndex(small_graph(), num_walks=10, length=4, seed=0)
+        dynamic.set_weight("a", "b", 2.0)
+        promoted = DynamicWalkIndex.from_walk_index(dynamic)
+        assert not promoted.take_touched_walks().any()
+
+
 class TestEpochInvalidation:
     """Mutations bump the epoch; estimators pinned to an older epoch raise.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.api import QueryEngine
@@ -146,6 +147,122 @@ class TestManagerApplyMutations:
         ] == 1
         assert delta["gauges"]["index_generation"] == manager._generation
         assert delta["histograms"]["index_swap_seconds_count"] == 1
+
+
+class TestGenerationRetention:
+    """The store keeps the base artifact and the newest generation only."""
+
+    @staticmethod
+    def keys(tmp_path):
+        from repro.store import ArtifactStore
+
+        return set(ArtifactStore(tmp_path / "store").keys())
+
+    def test_store_keeps_base_and_newest_generation(
+        self, make_manager, tmp_path
+    ):
+        manager = make_manager(cache_dir=tmp_path / "store")
+        base_key = manager.acquire().engine.cache_key
+        assert self.keys(tmp_path) == {base_key}
+        served = []
+        for weight in (2.0, 3.0, 4.0, 5.0):
+            result = manager.apply_mutations([("add_edge", "e0", "e1", weight)])
+            served.append(result["artifact"])
+            assert self.keys(tmp_path) == {base_key, result["artifact"]}
+        assert len(set(served) | {base_key}) == 5
+        assert manager.acquire().engine.cache_key == served[-1]
+
+    def test_return_to_base_graph_keeps_base_artifact(self, tmp_path, model):
+        from repro.semantics.cache import MatrixMeasure
+        from repro.serve import IndexManager
+
+        graph, measure = model
+        u, v = next(
+            (a, b) for a in graph.nodes() for b in graph.nodes()
+            if a != b and not graph.has_edge(a, b)
+        )
+        # a measure that is already dense keys generations exactly like the
+        # base, so undoing a write lands on the base key again
+        dense = MatrixMeasure.from_measure(measure, list(graph.nodes()))
+        manager = IndexManager(
+            graph, dense, cache_dir=tmp_path / "store",
+            engine_kwargs=dict(ENGINE_KWARGS), background_rebuild=False,
+        )
+        base_key = manager.acquire().engine.cache_key
+        added = manager.apply_mutations([("add_edge", u, v, 2.0)])
+        assert self.keys(tmp_path) == {base_key, added["artifact"]}
+        removed = manager.apply_mutations([("remove_edge", u, v)])
+        assert removed["artifact"] == base_key
+        assert self.keys(tmp_path) == {base_key}
+        # and the next write away from the base never deletes it
+        again = manager.apply_mutations([("add_edge", u, v, 3.0)])
+        assert self.keys(tmp_path) == {base_key, again["artifact"]}
+
+    def test_failed_persist_keeps_the_served_generation_artifact(
+        self, make_manager, tmp_path, clock
+    ):
+        manager = make_manager(cache_dir=tmp_path / "store")
+        base_key = manager.acquire().engine.cache_key
+        first = manager.apply_mutations(MUTATIONS)
+        with pytest.raises(OSError):
+            with FaultInjector([FaultRule("artifact.write")], clock=clock):
+                manager.apply_mutations([("add_edge", "e0", "e1", 4.0)])
+        assert manager.acquire().engine.cache_key == first["artifact"]
+        assert self.keys(tmp_path) == {base_key, first["artifact"]}
+        # the next successful write retires it as usual
+        second = manager.apply_mutations([("add_edge", "e0", "e1", 5.0)])
+        assert self.keys(tmp_path) == {base_key, second["artifact"]}
+
+    def test_touched_walks_reported_in_result_and_log(
+        self, make_manager, tmp_path
+    ):
+        import logging
+
+        events = []
+
+        class Capture(logging.Handler):
+            def emit(self, record):
+                if getattr(record, "event", None) == "serve.mutations_applied":
+                    events.append(record)
+
+        manager = make_manager(cache_dir=tmp_path / "store")
+        engine = manager.acquire().engine
+        before = engine.walk_index.walks.copy()
+        logger = logging.getLogger("repro.serve.manager")
+        handler, level = Capture(), logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+        try:
+            result = manager.apply_mutations(MUTATIONS)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        # the base engine's write-through built its step tables, so the
+        # new generation derived them: visitors of both re-weighted nodes
+        targets = [engine.walk_index.node_position(n) for n in ("e1", "e3")]
+        visits = np.isin(before[:, :, :-1], targets).any(axis=2)
+        assert result["touched"] == int(visits.sum()) > 0
+        assert [record.touched for record in events] == [result["touched"]]
+
+
+class TestLineageParent:
+    def test_parent_graph_is_the_pre_mutation_graph(self, model, tmp_path):
+        from repro.store.fingerprint import fingerprint_graph
+
+        graph, measure = model
+        engine = QueryEngine(
+            graph, measure, cache_dir=tmp_path / "store", **ENGINE_KWARGS
+        )
+        child = engine.with_mutations(MUTATIONS)
+        assert child.mutation_lineage()["parent_graph"] == fingerprint_graph(graph)
+        # after an in-place write the cached identity no longer describes
+        # the engine's graph, so the next generation must not reuse it
+        engine.add_edge("e0", "e1", 7.0)
+        grandchild = engine.with_mutations(MUTATIONS)
+        assert grandchild.mutation_lineage()["parent_graph"] == (
+            fingerprint_graph(engine.graph)
+        )
+        assert fingerprint_graph(engine.graph) != fingerprint_graph(graph)
 
 
 class TestRuntimePassthrough:

@@ -51,6 +51,26 @@ class TestRoundTrip:
         artifact = read_artifact(artifact_path)
         assert artifact.nbytes == sum(a.nbytes for a in arrays.values())
 
+    def test_digests_hash_the_array_bytes(self, artifact_path, arrays):
+        import hashlib
+
+        manifest = read_artifact(artifact_path).manifest
+        for name, original in arrays.items():
+            expected = hashlib.sha256(original.tobytes()).hexdigest()
+            assert manifest["arrays"][name]["sha256"] == expected
+
+    def test_documents_written_compact_and_pretty_ones_still_read(
+        self, artifact_path
+    ):
+        path = artifact_path / "graph.json"
+        assert path.read_text(encoding="utf-8") == '{"nodes":["a","b"]}'
+        # artifacts written before the compact layout indent their documents
+        path.write_text(json.dumps({"nodes": ["a", "b"]}, indent=1),
+                        encoding="utf-8")
+        assert read_artifact(artifact_path).documents["graph"] == {
+            "nodes": ["a", "b"]
+        }
+
     def test_overwrite_is_atomic_replacement(self, artifact_path):
         write_artifact(artifact_path, {}, {"only": np.zeros(2)})
         artifact = read_artifact(artifact_path)
