@@ -143,12 +143,12 @@ def _queue_wait_p99(before, after) -> float:
     return float("inf")
 
 
-def test_scheduler_throughput_vs_sequential(bundle, show, bench_backend):
+def test_scheduler_throughput_vs_sequential(bundle, show):
     manager = IndexManager(
         bundle.graph, bundle.measure,
         engine_kwargs=dict(
             method="mc", decay=DECAY, num_walks=NUM_WALKS,
-            length=LENGTH, theta=THETA, seed=7, backend=bench_backend,
+            length=LENGTH, theta=THETA, seed=7,
         ),
     )
     service = QueryService(manager)
@@ -193,8 +193,7 @@ def test_scheduler_throughput_vs_sequential(bundle, show, bench_backend):
     lines = [
         "Serving throughput — micro-batch scheduler vs sequential loop",
         f"graph: aminer-like, {bundle.graph.num_nodes} nodes "
-        f"(mc, n_w={NUM_WALKS}, t={LENGTH}, theta={THETA}, "
-        f"backend={bench_backend})",
+        f"(mc, n_w={NUM_WALKS}, t={LENGTH}, theta={THETA})",
         f"workload: {NUM_REQUESTS} closed-loop related-pair requests, "
         f"{HOT_SOURCES} hot sources x top-{RELATED_PER_SOURCE} targets, "
         f"window={WINDOW}",
@@ -229,7 +228,7 @@ def test_scheduler_throughput_vs_sequential(bundle, show, bench_backend):
 
 
 def test_sharded_scatter_gather_throughput(
-    bundle, show, bench_backend, tmp_path_factory
+    bundle, show, tmp_path_factory
 ):
     """The --shards axis: multi-process scatter-gather vs the PR 4 loop.
 
@@ -242,7 +241,7 @@ def test_sharded_scatter_gather_throughput(
     """
     engine_kwargs = dict(
         method="mc", decay=DECAY, num_walks=NUM_WALKS,
-        length=LENGTH, theta=THETA, seed=7, backend=bench_backend,
+        length=LENGTH, theta=THETA, seed=7,
     )
     manager = IndexManager(
         bundle.graph, bundle.measure, engine_kwargs=dict(engine_kwargs)
@@ -273,7 +272,7 @@ def test_sharded_scatter_gather_throughput(
             service, paths, parent_path=parent,
             workers=shards, workers_per_shard=1,
             max_batch=256, max_wait_us=200, queue_depth=4 * WINDOW,
-            clock=time.monotonic, backend=bench_backend,
+            clock=time.monotonic,
         )
         try:
             _closed_loop_qps(runtime, requests[:200])  # warm pipes + caches
@@ -311,8 +310,7 @@ def test_sharded_scatter_gather_throughput(
     lines = [
         "Sharded serving — multi-process scatter-gather vs sequential loop",
         f"graph: aminer-like, {bundle.graph.num_nodes} nodes "
-        f"(mc, n_w={NUM_WALKS}, t={LENGTH}, theta={THETA}, "
-        f"backend={bench_backend})",
+        f"(mc, n_w={NUM_WALKS}, t={LENGTH}, theta={THETA})",
         f"workload: {NUM_REQUESTS} closed-loop related-pair requests, "
         f"window={WINDOW}; {cpus} CPU(s) visible",
         "",

@@ -25,27 +25,6 @@ from repro.datasets import aminer_like, amazon_like, wikipedia_like, wordnet_lik
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        action="store",
-        default=None,
-        help="compute backend the benches run against (a registered name; "
-             "default: $REPRO_BACKEND or the built-in default)",
-    )
-
-
-@pytest.fixture(scope="session")
-def bench_backend(request):
-    """The backend name this benchmark session is measuring.
-
-    Resolves the ``--backend`` flag through the normal precedence chain so
-    the recorded name is the one that actually executed the kernels.
-    """
-    from repro.backends import resolve_backend
-
-    return resolve_backend(request.config.getoption("--backend")).name
-
 #: nodeid -> registry growth during that bench, written at session end.
 _METRICS_BY_BENCH: dict[str, dict] = {}
 
@@ -68,12 +47,10 @@ def _capture_bench_metrics(request):
 def pytest_sessionfinish(session, exitstatus):
     if not _METRICS_BY_BENCH:
         return
-    from repro.backends import resolve_backend
     from repro.obs.registry import get_registry
 
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
-        "backend": resolve_backend(session.config.getoption("--backend")).name,
         "per_bench_delta": _METRICS_BY_BENCH,
         "registry": get_registry().as_dict(),
     }

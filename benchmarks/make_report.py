@@ -8,7 +8,6 @@ Run after the benchmark suite:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 RESULTS = Path(__file__).parent / "results"
@@ -38,7 +37,6 @@ ORDER = [
     "ablation_naive_mc",
     "topk_semantic_bound",
     "batch_queries",
-    "batch_queries_backend",
     "single_source",
     "dynamic_updates",
     "extension_prank",
@@ -64,18 +62,6 @@ def main() -> None:
         "the paper-vs-measured discussion of every table below.",
         "",
     ]
-    metrics_path = RESULTS / "metrics.json"
-    if metrics_path.exists():
-        backend = json.loads(metrics_path.read_text(encoding="utf-8")).get(
-            "backend"
-        )
-        if backend:
-            sections += [
-                f"Compute backend for the recorded run: `{backend}` "
-                "(`pytest benchmarks/ --backend <name>` to re-run on "
-                "another).",
-                "",
-            ]
     seen = set()
     names = ORDER + sorted(
         p.stem for p in RESULTS.glob("*.txt") if p.stem not in ORDER

@@ -4,7 +4,7 @@ Everything the library can answer about node similarity — single pairs,
 whole candidate sets, top-k search, similarity joins — is reachable through
 one :class:`QueryEngine`.  The engine hides the moving parts the paper's
 Section 4 pipeline needs (walk-index construction, proposal policy, the
-semantic matrix that unlocks the vectorised batch path, estimator choice,
+semantic matrix the MC kernel gathers from, estimator choice,
 pruning thresholds) behind a single constructor:
 
 >>> from repro.api import QueryEngine
@@ -41,17 +41,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backends import (
-    BackendConfig,
-    BackendError,
-    BackendUnavailableError,
-    ComputeBackend,
-    UnknownBackendError,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
 from repro.core.bounds import plan_index
 from repro.core.dynamic import DynamicWalkIndex
 from repro.core.iterative import FixedPointResult
@@ -116,16 +105,6 @@ __all__ = [
     "batch_similarity",
     "similarity_join",
     "top_k_similar",
-    # compute-backend seam (re-exported so API users need one import)
-    "BackendConfig",
-    "BackendError",
-    "BackendUnavailableError",
-    "ComputeBackend",
-    "UnknownBackendError",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
 ]
 
 #: Above this node count ``materialize_semantics="auto"`` stops densifying
@@ -172,17 +151,6 @@ class QueryEngine:
         underlying engine.  ``num_walks``/``length``/``seed`` only apply to
         ``method="mc"``; ``theta`` is the MC pruning threshold (``None``
         disables pruning).
-    backend, backend_config:
-        Compute backend for the MC scoring hot path: a registered backend
-        name (``"numpy"``, ``"blocked"``, ``"numba"`` where available, or
-        any third-party registration), a ready
-        :class:`~repro.backends.ComputeBackend` instance, or ``None`` for
-        the default.  Selection precedence: explicit argument > the
-        ``REPRO_BACKEND`` environment variable > ``"numpy"``.
-        *backend_config* is a :class:`~repro.backends.BackendConfig` of
-        tuning knobs, only valid when *backend* is not already an
-        instance.  Exact backends (``numpy``, ``blocked``) return
-        bit-identical scores; jitted backends document a tolerance.
     policy:
         MC proposal distribution (:class:`WalkPolicy`).
     workers:
@@ -191,8 +159,9 @@ class QueryEngine:
     materialize_semantics:
         ``"auto"`` (default), ``True`` or ``False`` — whether to densify
         *measure* into a :class:`~repro.semantics.cache.MatrixMeasure` in
-        index node order, which is what unlocks the fully vectorised batch
-        path.  ``"auto"`` densifies up to ``AUTO_MATERIALIZE_LIMIT`` nodes.
+        index node order, from which the MC kernel gathers its inputs (a
+        lazy measure is looked up per query instead, with no n² tables).
+        ``"auto"`` densifies up to ``AUTO_MATERIALIZE_LIMIT`` nodes.
     pair_index:
         Optional SLING-style ``SO`` cache forwarded to the MC estimator.
     max_iterations, tolerance:
@@ -235,8 +204,6 @@ class QueryEngine:
         length: int = 15,
         theta: float | None = 0.05,
         seed: int | np.random.Generator | None = None,
-        backend: str | ComputeBackend | None = None,
-        backend_config: BackendConfig | None = None,
         policy: WalkPolicy = WalkPolicy.UNIFORM,
         workers: int | None = None,
         materialize_semantics: bool | str = "auto",
@@ -267,8 +234,6 @@ class QueryEngine:
         self.num_walks = validate_num_walks(num_walks)
         self.length = validate_length(length)
         self.theta = validate_theta(theta)
-        self.backend = resolve_backend(backend, backend_config)
-        self.backend_name = self.backend.name
         self.policy = policy
         self.workers = validate_workers(workers)
         self.pair_index = pair_index
@@ -287,6 +252,9 @@ class QueryEngine:
         self._store: ArtifactStore | None = None
         self.cache_key: str | None = None
         self._cache_identity: dict | None = None
+        #: Fingerprint of the measure as the caller supplied it; graph
+        #: mutations keep the measure, so every generation reuses it.
+        self._measure_fingerprint: str | None = None
         self._dynamic: DynamicWalkIndex | None = None
         self._parent_fingerprint: str | None = None
         self._refresh_deferred = False
@@ -358,9 +326,7 @@ class QueryEngine:
                     workers=self.workers,
                 )
             if self.measure is None:
-                self.estimator = MonteCarloSimRank(
-                    self.walk_index, decay=self.decay, backend=self.backend
-                )
+                self.estimator = MonteCarloSimRank(self.walk_index, decay=self.decay)
             else:
                 self.estimator = MonteCarloSemSim(
                     self.walk_index,
@@ -368,7 +334,6 @@ class QueryEngine:
                     decay=self.decay,
                     theta=self.theta,
                     pair_index=self.pair_index,
-                    backend=self.backend,
                 )
             self.stats = self.estimator.stats
         elif self.method == "linear":
@@ -517,6 +482,7 @@ class QueryEngine:
         )
         self.cache_key = key
         self._cache_identity = identity
+        self._measure_fingerprint = identity["measure"]
         if not self._store.contains(key):
             if is_enabled():
                 CACHE_MISS.inc()
@@ -544,8 +510,7 @@ class QueryEngine:
 
         Every array comes straight from the mapped files — the same bytes
         a cold build produced — so restored engines answer bit-identically
-        to fresh ones.  The compute backend is per-engine, not part of the
-        artifact: the same artifact serves under any backend.
+        to fresh ones.
         """
         self.measure = measure_from_artifact(artifact, self.graph)
         if self.method == "mc":
@@ -569,16 +534,13 @@ class QueryEngine:
                 tables=tables,
             )
             if self.measure is None:
-                self.estimator = MonteCarloSimRank(
-                    self.walk_index, decay=self.decay, backend=self.backend
-                )
+                self.estimator = MonteCarloSimRank(self.walk_index, decay=self.decay)
             else:
                 self.estimator = MonteCarloSemSim(
                     self.walk_index,
                     self.measure,
                     decay=self.decay,
                     theta=self.theta,
-                    backend=self.backend,
                 )
                 self.estimator.attach_precomputed(
                     so_matrix=artifact.arrays.get("so_matrix"),
@@ -687,13 +649,7 @@ class QueryEngine:
         return write_artifact(path, manifest, arrays, documents)
 
     @classmethod
-    def open(
-        cls,
-        path: str | Path,
-        *,
-        backend: str | ComputeBackend | None = None,
-        backend_config: BackendConfig | None = None,
-    ) -> "QueryEngine":
+    def open(cls, path: str | Path) -> "QueryEngine":
         """Warm-start an engine from an artifact written by :meth:`save`.
 
         Arrays are memory-mapped, not copied: time-to-first-query is
@@ -702,9 +658,6 @@ class QueryEngine:
         same artifact, and scores are bit-identical to the engine that was
         saved.  Any structural problem — truncated file, version drift,
         manifest mismatch — raises :class:`~repro.store.StoreError`.
-
-        *backend*/*backend_config* select the compute backend exactly as in
-        the constructor — artifacts are backend-agnostic.
         """
         artifact = read_artifact(path)
         graph = graph_from_artifact(artifact)
@@ -718,8 +671,6 @@ class QueryEngine:
             "method": method,
             "decay": params.get("decay", 0.6),
             "theta": params.get("theta"),
-            "backend": backend,
-            "backend_config": backend_config,
             "_artifact": artifact,
         }
         if method == "mc":
@@ -891,7 +842,10 @@ class QueryEngine:
             return None
         materialized = isinstance(self.measure, MatrixMeasure)
         key, identity = engine_identity(
-            self.graph, self.measure, self._canonical_params(materialized)
+            self.graph,
+            self.measure,
+            self._canonical_params(materialized),
+            measure_fingerprint=self._measure_fingerprint,
         )
         with span("engine.snapshot", labels={"method": self.method}):
             manifest, arrays, documents = snapshot_engine(self, identity)
@@ -899,6 +853,7 @@ class QueryEngine:
         self._store = store
         self.cache_key = key
         self._cache_identity = identity
+        self._measure_fingerprint = identity["measure"]
         return key
 
     def _mutate(self, apply) -> int:
@@ -957,16 +912,13 @@ class QueryEngine:
         touched = self._dynamic.take_touched_walks()
         self.touched_walks = None
         if self.measure is None:
-            self.estimator = MonteCarloSimRank(
-                self.walk_index, decay=self.decay, backend=self.backend
-            )
+            self.estimator = MonteCarloSimRank(self.walk_index, decay=self.decay)
         else:
             self.estimator = MonteCarloSemSim(
                 self.walk_index,
                 self.measure,
                 decay=self.decay,
                 theta=self.theta,
-                backend=self.backend,
             )
             if isinstance(parent, MonteCarloSemSim):
                 with span("engine.derive_tables") as derive:
@@ -1155,5 +1107,5 @@ class QueryEngine:
             index = type(self.estimator).__name__
         return (
             f"QueryEngine(method={self.method!r}, decay={self.decay}, "
-            f"theta={self.theta}, backend={self.backend_name!r}, index={index})"
+            f"theta={self.theta}, index={index})"
         )

@@ -1,63 +1,28 @@
-"""Pluggable compute backends for the Monte-Carlo scoring hot paths.
+"""The Monte-Carlo SemSim walk-score kernel and its timing hook.
 
-See :mod:`repro.backends.base` for the protocol and the equivalence
-contract.  Importing this package registers the built-in backends:
-
-* ``numpy`` — the reference stacked-array kernels (the baseline every
-  other backend is verified against);
-* ``blocked`` — cache-blocked/preallocated kernels, bit-identical to the
-  reference and the guaranteed accelerated fallback;
-* ``numba`` — jitted per-row kernels, registered when ``numba`` is
-  importable (otherwise listed as unavailable with the reason).
-
-Select one with ``QueryEngine(backend=...)``, the CLI's ``--backend``, or
-the ``REPRO_BACKEND`` environment variable; inspect the registry with
-``repro backends list``.
+See :mod:`repro.backends.numpy_ref`: one kernel, fed from dense tables
+(:class:`DensePlanes`) or from the estimator's per-call lookups for a
+measure that is not materialised.
 """
 
-from repro.backends.base import (
-    BACKEND_ENV_VAR,
-    BackendConfig,
-    BackendError,
-    BackendInfo,
-    BackendUnavailableError,
-    ComputeBackend,
-    DEFAULT_BACKEND,
-    UnknownBackendError,
+from repro.backends.numpy_ref import (
+    DensePlanes,
+    Planes,
+    WalkScoreKernel,
     WalkScoreRequest,
     WalkScoreResult,
-    available_backends,
-    default_backend_name,
-    get_backend,
     kernel_timer,
-    register_backend,
-    register_unavailable,
+    lookup_plane,
     resolve_backend,
-    unregister_backend,
 )
 
-# Importing the modules registers the built-ins (numba only when present).
-from repro.backends import numpy_ref as _numpy_ref  # noqa: F401
-from repro.backends import blocked as _blocked      # noqa: F401
-from repro.backends import numba_jit as _numba_jit  # noqa: F401
-
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BackendConfig",
-    "BackendError",
-    "BackendInfo",
-    "BackendUnavailableError",
-    "ComputeBackend",
-    "DEFAULT_BACKEND",
-    "UnknownBackendError",
+    "DensePlanes",
+    "Planes",
+    "WalkScoreKernel",
     "WalkScoreRequest",
     "WalkScoreResult",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
     "kernel_timer",
-    "register_backend",
-    "register_unavailable",
+    "lookup_plane",
     "resolve_backend",
-    "unregister_backend",
 ]

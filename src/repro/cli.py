@@ -22,9 +22,6 @@ Commands
 ``index shard``
     Split an mc engine artifact into node-range shard artifacts for
     ``serve --shards`` (multi-process scatter-gather serving).
-``backends list``
-    Enumerate the registered compute backends (name, availability,
-    equivalence contract, description) and mark the default.
 ``serve``
     Concurrent line-protocol server on stdin/stdout: ``u v``,
     ``BATCH u v1 v2 ...`` or ``TOPK u k [v1 ...]`` per line, one JSON
@@ -69,7 +66,6 @@ from pathlib import Path
 from queue import SimpleQueue
 
 from repro.api import QueryEngine
-from repro.backends import DEFAULT_BACKEND, available_backends
 from repro.core import SemSim, SimRank
 from repro.core.decay import decay_contraction_bound, decay_paper_bound
 from repro.datasets import (
@@ -157,7 +153,7 @@ def _make_engine(args: argparse.Namespace, bundle=None) -> QueryEngine:
     with the same inputs memory-maps instead of recomputing.
     """
     if args.index is not None:
-        return QueryEngine.open(args.index, backend=args.backend)
+        return QueryEngine.open(args.index)
     return QueryEngine(
         bundle.graph,
         bundle.measure,
@@ -168,7 +164,6 @@ def _make_engine(args: argparse.Namespace, bundle=None) -> QueryEngine:
         theta=args.theta,
         seed=args.seed,
         workers=args.workers,
-        backend=args.backend,
         cache_dir=args.cache,
         walks_path=args.walks_file,
         rank=args.rank,
@@ -246,7 +241,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
         theta=args.theta,
         seed=args.seed,
         workers=args.workers,
-        backend=args.backend,
         rank=args.rank,
         materialize_semantics=True,
     )
@@ -292,11 +286,7 @@ def _make_service(args: argparse.Namespace) -> QueryService:
     """Assemble the resilient serving stack a ``serve`` invocation asked for."""
     retry = RetryPolicy(max_retries=args.max_retries, seed=args.seed)
     if args.index is not None:
-        manager = IndexManager(
-            index_path=args.index,
-            engine_kwargs=dict(backend=args.backend),
-            retry=retry,
-        )
+        manager = IndexManager(index_path=args.index, retry=retry)
     else:
         bundle = _load_bundle_or_fail(args.bundle)
         manager = IndexManager(
@@ -312,7 +302,6 @@ def _make_service(args: argparse.Namespace) -> QueryService:
                 theta=args.theta,
                 seed=args.seed,
                 workers=args.workers,
-                backend=args.backend,
                 rank=args.rank,
             ),
             retry=retry,
@@ -502,7 +491,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_wait_us=args.max_wait_us,
             queue_depth=args.queue_depth,
-            backend=args.backend,
             timings=args.timings,
         )
     else:
@@ -671,27 +659,6 @@ def _finalize_observability(args: argparse.Namespace) -> None:
             Path(metrics_out).write_text(text, encoding="utf-8")
 
 
-def _cmd_backends_list(_args: argparse.Namespace) -> int:
-    """Enumerate registered compute backends, default first."""
-    backends = available_backends()
-    print(f"registered compute backends (default: {DEFAULT_BACKEND}, "
-          f"override with --backend or $REPRO_BACKEND):")
-    for info in backends:
-        marker = "*" if info.name == DEFAULT_BACKEND else " "
-        status = "available" if info.available else "unavailable"
-        if info.available:
-            equivalence = (
-                "bit-identical" if info.exact
-                else f"tolerance<={info.tolerance:g}"
-            )
-        else:
-            equivalence = info.unavailable_reason or "not importable"
-        print(f"  {marker} {info.name:<10} {status:<12} {equivalence}")
-        if info.description:
-            print(f"      {info.description}")
-    return 0
-
-
 #: The four engine families, in docs order.  Kept as data so the CLI
 #: listing and any future capability gating read from one place.
 _ESTIMATOR_FAMILIES = (
@@ -801,12 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--seed", type=int, default=0)
         command.add_argument(
             "--workers", type=int, default=None, help=workers_help,
-        )
-        command.add_argument(
-            "--backend", default=None, metavar="NAME",
-            help="compute backend for the walk-score hot path (see "
-                 "'repro backends list'; default: $REPRO_BACKEND or "
-                 f"'{DEFAULT_BACKEND}')",
         )
         if serving:
             command.add_argument(
@@ -961,17 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     info = commands.add_parser("info", help="describe a saved bundle")
     info.add_argument("bundle", help="bundle JSON path")
     info.set_defaults(func=_cmd_info)
-
-    backends = commands.add_parser(
-        "backends", help="inspect the compute-backend registry"
-    )
-    backends_commands = backends.add_subparsers(
-        dest="backends_command", required=True
-    )
-    backends_list = backends_commands.add_parser(
-        "list", help="enumerate registered compute backends"
-    )
-    backends_list.set_defaults(func=_cmd_backends_list)
 
     estimators = commands.add_parser(
         "estimators", help="inspect the engine-family registry"

@@ -26,11 +26,12 @@ Both estimators expose a **batched query path**
 (:meth:`MonteCarloSemSim.similarity_batch`): a whole candidate set
 ``{(u, v_i)}`` is estimated in one numpy pass — first-meeting detection,
 likelihood-ratio products and the θ walk-cut all run on stacked
-``(num_pairs, num_walks, length)`` arrays instead of per-pair
-``similarity()`` calls.  The batch path reproduces the scalar path's
-arithmetic operation-for-operation, so the two agree to float precision;
-when it cannot run vectorised (no dense semantic matrix is available) it
-falls back to scalar queries and counts the fallback in the stats.
+``(num_pairs, num_walks, length)`` arrays.  Every MC SemSim score — scalar,
+interval, batch and the shard worker's — goes through :func:`score_walks`
+and the one walk-score kernel (:mod:`repro.backends`); a single-pair
+query is a batch of one.  The kernel's ``sem``/``SO``/``W``/``Q`` inputs
+come from dense tables when the measure is materialised and from per-call
+lookups when it is not.
 
 A note on the paper's Algorithm 1 listing: it accumulates ``Pw`` and ``Qw``
 cumulatively *and* multiplies ``Pw/Qw`` into ``sim_w`` at every step, which
@@ -48,10 +49,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.backends import (
-    BackendConfig,
-    ComputeBackend,
+    DensePlanes,
+    Planes,
     WalkScoreRequest,
+    WalkScoreResult,
     kernel_timer,
+    lookup_plane,
     resolve_backend,
 )
 from repro.core.metrics import ENGINE_EFFECTIVE_WALKS, ENGINE_WALK_COUNT
@@ -75,7 +78,6 @@ _STAT_HELP: dict[str, str] = {
     "batch_queries": "Calls to a similarity_batch entry point.",
     "batch_pairs": "Total pairs submitted through similarity_batch.",
     "vectorized_pairs": "Batch pairs scored on the stacked-array fast path.",
-    "scalar_fallbacks": "Batch pairs that fell back to scalar similarity().",
 }
 
 
@@ -116,9 +118,9 @@ class EstimatorStats:
     walks_pruned:
         Met walks frozen early by the θ walk-cut (Def. 4.5).
     so_evaluations:
-        ``SO(u, v)`` denominators computed from scratch.  The batch path
-        deduplicates identical ``(u, v)`` step pairs before evaluating, so
-        this can be far below the scalar path's count for the same work.
+        ``SO(u, v)`` denominators read or computed: every active walk step
+        with a dense SO table, one per distinct step pair and call
+        otherwise (``pair_index`` hits are free).
     sem_gate_hits:
         Pairs short-circuited to 0 by the Prop. 2.5 semantic gate.
     batch_queries:
@@ -127,9 +129,6 @@ class EstimatorStats:
         Total pairs submitted through ``similarity_batch``.
     vectorized_pairs:
         Batch pairs scored on the stacked-array fast path.
-    scalar_fallbacks:
-        Batch pairs that fell back to per-pair ``similarity()`` calls
-        (no dense semantic matrix available).
     """
 
     __slots__ = ("_values", "_cells", "_lock")
@@ -259,25 +258,109 @@ class AccuracyGauges:
         self._effective.set(walks_met / pairs)
 
 
-class MonteCarloSimRank:
-    """Classical MC SimRank over a :class:`WalkIndex` (Section 4.1).
+def semantic_gate(
+    pos_u: int,
+    positions: np.ndarray,
+    sem_row: np.ndarray,
+    theta: float | None,
+    stats: EstimatorStats,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores fixed before any walk is read, and the candidates left to score.
 
-    *backend* selects the compute kernels for the batched path — a
-    registered name, a ready :class:`~repro.backends.ComputeBackend`, or
-    ``None`` for the ``REPRO_BACKEND``/default resolution (see
-    :func:`repro.backends.resolve_backend`).
+    Returns ``(scores, active)``: *scores* holds 1.0 for the query node
+    itself and 0.0 elsewhere; *active* indexes the candidates that are
+    neither the query nor cut by the Prop. 2.5 gate ``sem <= theta``.
     """
+    scores = np.zeros(positions.size, dtype=np.float64)
+    identity = positions == pos_u
+    scores[identity] = 1.0
+    if theta is not None:
+        gated = (sem_row <= theta) & ~identity
+        stats.add(sem_gate_hits=int(gated.sum()))
+    else:
+        gated = np.zeros(positions.size, dtype=bool)
+    return scores, np.flatnonzero(~identity & ~gated)
 
-    def __init__(
-        self,
-        walk_index: WalkIndex,
-        decay: float = 0.6,
-        backend: ComputeBackend | str | None = None,
-        backend_config: BackendConfig | None = None,
-    ) -> None:
+
+def score_walks(
+    walks: np.ndarray,
+    row_u: int,
+    rows: np.ndarray,
+    meetings: np.ndarray,
+    planes: Planes,
+    *,
+    decay: float,
+    theta: float | None,
+    stats: EstimatorStats,
+    accuracy: AccuracyGauges,
+) -> WalkScoreResult:
+    """Algorithm 1's likelihood ratios for ``walks[row_u]`` against each row.
+
+    The one MC SemSim scoring core: the estimator's scalar, interval and
+    batch queries and the shard worker all call it.  *row_u* and *rows*
+    are tensor rows and *meetings* their first-meeting steps
+    (:func:`~repro.core.walk_index.first_meetings`); every candidate is
+    already past the semantic gate.  Folds the kernel's work counters
+    into *stats* and *accuracy*.
+    """
+    num_walks = meetings.shape[1]
+    stats.add(walks_examined=int(rows.size) * num_walks)
+    kernel = resolve_backend()
+    request = WalkScoreRequest(
+        walks=walks,
+        pos_u=row_u,
+        positions=rows,
+        meetings=meetings,
+        planes=planes,
+        decay=decay,
+        theta=theta,
+    )
+    with kernel_timer(kernel.name, "batch_walk_scores"):
+        result = kernel.batch_walk_scores(request)
+    stats.add(
+        walks_met=result.walks_met,
+        so_evaluations=result.so_evaluations,
+        walks_pruned=result.walks_pruned,
+    )
+    accuracy.update(num_walks, result.walks_met, int(rows.size))
+    return result
+
+
+def score_simrank(
+    meetings: np.ndarray,
+    identity: np.ndarray,
+    *,
+    decay: float,
+    stats: EstimatorStats,
+    accuracy: AccuracyGauges,
+) -> np.ndarray:
+    """Classical MC SimRank ``sum(c^tau) / n_w`` per candidate row.
+
+    *identity* marks candidates equal to the query node, which score 1.
+    Shared by :meth:`MonteCarloSimRank.similarity_batch` and the shard
+    worker.
+    """
+    m, num_walks = meetings.shape
+    met = meetings >= 0
+    met[identity] = False
+    walks_met = int(met.sum())
+    stats.add(
+        walks_examined=int((~identity).sum()) * num_walks, walks_met=walks_met
+    )
+    accuracy.update(num_walks, walks_met, m)
+    with kernel_timer(resolve_backend().name, "simrank_scores"):
+        contrib = np.where(met, decay ** np.maximum(meetings, 0), 0.0)
+        scores = contrib.sum(axis=1) / num_walks
+    scores[identity] = 1.0
+    return scores
+
+
+class MonteCarloSimRank:
+    """Classical MC SimRank over a :class:`WalkIndex` (Section 4.1)."""
+
+    def __init__(self, walk_index: WalkIndex, decay: float = 0.6) -> None:
         self.walk_index = walk_index
         self.decay = validate_decay(decay)
-        self.backend = resolve_backend(backend, backend_config)
         self.stats = EstimatorStats(method="mc", estimator="simrank")
         self._accuracy = AccuracyGauges("simrank")
         self._epoch = int(getattr(walk_index, "epoch", 0))
@@ -316,20 +399,13 @@ class MonteCarloSimRank:
         index = self.walk_index
         meetings = index.first_meetings_batch(u, candidates)  # (m, n_w)
         positions = index.node_positions(candidates)
-        identity = positions == index.node_position(u)
-        met = meetings >= 0
-        met[identity] = False
-        self.stats.add(
-            walks_examined=int((~identity).sum()) * index.num_walks,
-            walks_met=int(met.sum()),
+        return score_simrank(
+            meetings,
+            positions == index.node_position(u),
+            decay=self.decay,
+            stats=self.stats,
+            accuracy=self._accuracy,
         )
-        self._accuracy.update(index.num_walks, int(met.sum()), m)
-        with kernel_timer(self.backend.name, "simrank_scores"):
-            scores = self.backend.simrank_scores(
-                meetings, met, self.decay, index.num_walks
-            )
-        scores[identity] = 1.0
-        return scores
 
 
 class MonteCarloSemSim:
@@ -340,7 +416,11 @@ class MonteCarloSemSim:
     walk_index:
         The shared per-node walk index (proposal ``Q``).
     measure:
-        The semantic measure ``sem``.
+        The semantic measure ``sem``.  A
+        :class:`~repro.semantics.cache.MatrixMeasure` in index node order
+        feeds the kernel from dense tables (the SO matrix and per-step
+        ``W``/``Q`` tables, built once); any other measure is looked up
+        per call, so memory stays bounded by the walk tensor.
     decay:
         The decay factor ``c``.
     theta:
@@ -352,14 +432,6 @@ class MonteCarloSemSim:
         Optional :class:`repro.core.sling.SlingIndex`-compatible cache of
         the SARW step denominators ``SO(u, v)``; cuts the O(d²) inner loop
         for indexed pairs (the Fig. 4 "SLING" configuration).
-    backend:
-        Compute backend for the batched kernels — a registered name, a
-        ready :class:`~repro.backends.ComputeBackend`, or ``None`` for
-        the ``REPRO_BACKEND``/default resolution.  numpy-family backends
-        are bit-identical; others agree within their declared tolerance.
-    backend_config:
-        Optional :class:`~repro.backends.BackendConfig` forwarded to a
-        backend resolved by name.
     """
 
     def __init__(
@@ -369,43 +441,30 @@ class MonteCarloSemSim:
         decay: float = 0.6,
         theta: float | None = 0.05,
         pair_index: "SupportsSoLookup | None" = None,
-        backend: ComputeBackend | str | None = None,
-        backend_config: BackendConfig | None = None,
     ) -> None:
         self.walk_index = walk_index
         self.measure = measure
         self.decay = validate_decay(decay)
         self.theta = validate_theta(theta)
         self.pair_index = pair_index
-        self.backend = resolve_backend(backend, backend_config)
         self.stats = EstimatorStats(method="mc", estimator="semsim")
         self._accuracy = AccuracyGauges("semsim")
         graph_index = walk_index.index
         self._nodes = graph_index.nodes
         self._in_lists = graph_index.in_lists
         self._in_weights = graph_index.in_weights
-        # weight_to[v][a] = W(a, v) for O(1) edge-weight lookups by position.
-        self._weight_to: list[dict[int, float]] = [
-            dict(zip(map(int, graph_index.in_lists[v]), map(float, graph_index.in_weights[v])))
-            for v in range(graph_index.num_nodes)
-        ]
-        # Fast path: a MatrixMeasure whose node order matches the index lets
-        # the O(d²) SO sum collapse to one vectorised bilinear form, and is
-        # what unlocks the fully vectorised batch path below.
+        # A MatrixMeasure whose node order matches the index feeds the
+        # kernel from dense tables; any other measure from lookups.
         self._sem_matrix: np.ndarray | None = None
         if isinstance(measure, MatrixMeasure) and measure.nodes == list(self._nodes):
             self._sem_matrix = measure.matrix
-        # Lazy batch lookup tables (edge-weight keys, Q normalisers) and
-        # SO caches: the dense matrix for the MatrixMeasure fast path (built
-        # once as W sem Wᵀ, read by scalar and batch alike so the two paths
-        # always see bit-identical denominators), the dict for lazy measures.
+        # Lazy tables: edge-weight keys for W/Q lookups and the dense SO
+        # matrix (W sem Wᵀ).
         self._edge_keys: np.ndarray | None = None
         self._edge_weights: np.ndarray | None = None
         self._so_matrix: np.ndarray | None = None
-        self._so_cache: dict[tuple[int, int], float] = {}
         # Per-(node, walk, step) edge weight and proposal probability along
-        # the stored walks — the walks never change, so these are gathered
-        # once and reused by every batch query.
+        # the stored walks, gathered once for a dense measure.
         self._step_weights: np.ndarray | None = None
         self._step_q: np.ndarray | None = None
         # Everything above snapshots the graph as of now; a later index
@@ -457,81 +516,42 @@ class MonteCarloSemSim:
 
     def similarity(self, u: Node, v: Node) -> float:
         """Return the Algorithm-1 estimate of ``sim(u, v)``."""
-        self._check_epoch()
-        self.stats.add(queries=1)
-        if u == v:
-            return 1.0
-        sem_uv = self.measure.similarity(u, v)
-        if self.theta is not None and sem_uv <= self.theta:
-            self.stats.add(sem_gate_hits=1)
-            return 0.0
-        walks_u = self.walk_index.walks_from(u)
-        walks_v = self.walk_index.walks_from(v)
-        meetings = self.walk_index.first_meetings(u, v)
-        total = 0.0
-        met = so_evals = pruned = 0
-        for walk_id in np.flatnonzero(meetings >= 0):
-            met += 1
-            score, evals, cut = self._walk_score(
-                walks_u[walk_id], walks_v[walk_id], int(meetings[walk_id])
-            )
-            total += score
-            so_evals += evals
-            pruned += cut
-        self.stats.add(
-            walks_examined=int(meetings.size), walks_met=met,
-            so_evaluations=so_evals, walks_pruned=pruned,
-        )
-        return sem_uv * total / self.walk_index.num_walks
+        sem_uv, result = self._score_pair(u, v)
+        if result is None:
+            return sem_uv
+        return sem_uv * float(result.totals[0]) / self.walk_index.num_walks
 
     def similarity_batch(
         self, u: Node, candidates: Sequence[Node]
     ) -> np.ndarray:
         """Estimate ``sim(u, v_i)`` for a whole candidate set in one pass.
 
-        Agrees with per-candidate :meth:`similarity` calls to float
-        precision (the arithmetic is replayed in the same operation order
-        on stacked arrays).  Requires a dense semantic matrix to run
-        vectorised — built automatically when *measure* is a
-        :class:`~repro.semantics.cache.MatrixMeasure` in index node order;
-        otherwise every pair falls back to the scalar path (counted in
-        ``stats.scalar_fallbacks``).
+        Each entry equals the per-candidate :meth:`similarity` bitwise:
+        both run the same kernel, and a candidate's score reads only its
+        own walks.
         """
         self._check_epoch()
         m = len(candidates)
         self.stats.add(batch_queries=1, batch_pairs=m)
         if m == 0:
             return np.empty(0, dtype=np.float64)
-        if self._sem_matrix is None:
-            self.stats.add(scalar_fallbacks=m)
-            return np.array(
-                [self.similarity(u, v) for v in candidates], dtype=np.float64
-            )
         self.stats.add(vectorized_pairs=m, queries=m)
-
         index = self.walk_index
         pos_u = index.node_position(u)
         positions = index.node_positions(candidates)
-        scores = np.zeros(m, dtype=np.float64)
-
-        identity = positions == pos_u
-        scores[identity] = 1.0
-
-        sem_row = self._sem_matrix[pos_u, positions]
-        if self.theta is not None:
-            gated = (sem_row <= self.theta) & ~identity
-            self.stats.add(sem_gate_hits=int(gated.sum()))
+        if self._sem_matrix is not None:
+            sem_row = self._sem_matrix[pos_u, positions]
         else:
-            gated = np.zeros(m, dtype=bool)
-        active = ~identity & ~gated
-        active_idx = np.flatnonzero(active)
-        if active_idx.size == 0:
-            return scores
-        self.stats.add(walks_examined=int(active_idx.size) * index.num_walks)
-
-        meetings = index.first_meetings_batch(u, positions[active_idx])
-        totals = self._batch_walk_scores(pos_u, positions[active_idx], meetings)
-        scores[active_idx] = sem_row[active_idx] * totals / index.num_walks
+            similarity = self.measure.similarity
+            sem_row = np.array(
+                [similarity(u, v) for v in candidates], dtype=np.float64
+            )
+        scores, active = semantic_gate(
+            pos_u, positions, sem_row, self.theta, self.stats
+        )
+        if active.size:
+            result = self._walk_scores(u, positions[active])
+            scores[active] = sem_row[active] * result.totals / index.num_walks
         return scores
 
     def similarity_with_interval(
@@ -545,77 +565,67 @@ class MonteCarloSemSim:
         distribution-free (much looser) alternative, combine the point
         estimate with :func:`repro.core.bounds.deviation_probability`.
         """
-        self._check_epoch()
-        self.stats.add(queries=1)
-        if u == v:
-            return 1.0, 0.0
-        sem_uv = self.measure.similarity(u, v)
-        if self.theta is not None and sem_uv <= self.theta:
-            self.stats.add(sem_gate_hits=1)
-            return 0.0, 0.0
-        walks_u = self.walk_index.walks_from(u)
-        walks_v = self.walk_index.walks_from(v)
-        meetings = self.walk_index.first_meetings(u, v)
+        sem_uv, result = self._score_pair(u, v)
+        if result is None:
+            return sem_uv, 0.0
         contributions = np.zeros(self.walk_index.num_walks)
-        met = so_evals = pruned = 0
-        for walk_id in np.flatnonzero(meetings >= 0):
-            met += 1
-            score, evals, cut = self._walk_score(
-                walks_u[walk_id], walks_v[walk_id], int(meetings[walk_id])
-            )
-            contributions[walk_id] = score
-            so_evals += evals
-            pruned += cut
-        self.stats.add(
-            walks_examined=int(meetings.size), walks_met=met,
-            so_evaluations=so_evals, walks_pruned=pruned,
-        )
+        contributions[result.walk_ids] = result.walk_values
         estimate = sem_uv * float(contributions.mean())
         spread = float(contributions.std(ddof=1)) if contributions.size > 1 else 0.0
         half_width = sem_uv * z * spread / np.sqrt(self.walk_index.num_walks)
         return estimate, float(half_width)
 
     # ------------------------------------------------------------------
-    # Internals — scalar path
+    # Internals — the scoring core
     # ------------------------------------------------------------------
-    def _walk_score(
-        self, walk_u: np.ndarray, walk_v: np.ndarray, meeting: int
-    ) -> tuple[float, int, int]:
-        """Likelihood-ratio score of one met coupled walk (Def. 4.5).
+    def _score_pair(self, u: Node, v: Node) -> tuple[float, WalkScoreResult | None]:
+        """One pair as a batch of one, after the two early returns.
 
-        Returns ``(score, so_evaluations, pruned)`` so the per-step loop
-        stays free of stats bookkeeping — callers fold the tallies into
-        :class:`EstimatorStats` once per public query, which is what keeps
-        the registry-mirrored counters off this hot path.
+        Returns ``(value, None)`` for the query node itself (1.0) and for a
+        pair cut by the semantic gate (0.0) — both decided before any
+        array is built — else ``(sem(u, v), kernel result)``.
         """
-        score = 1.0
-        so_evals = 0
-        for step in range(meeting):
-            current_u = int(walk_u[step])
-            current_v = int(walk_v[step])
-            next_u = int(walk_u[step + 1])
-            next_v = int(walk_v[step + 1])
-            numerator = (
-                self.measure.similarity(self._nodes[next_u], self._nodes[next_v])
-                * self._weight_to[current_u][next_u]
-                * self._weight_to[current_v][next_v]
+        self._check_epoch()
+        self.stats.add(queries=1)
+        if u == v:
+            return 1.0, None
+        sem_uv = self.measure.similarity(u, v)
+        if self.theta is not None and sem_uv <= self.theta:
+            self.stats.add(sem_gate_hits=1)
+            return 0.0, None
+        return sem_uv, self._walk_scores(u, self.walk_index.node_positions([v]))
+
+    def _walk_scores(self, u: Node, positions: np.ndarray) -> WalkScoreResult:
+        """The kernel over ``u``'s coupled walks with each ungated candidate."""
+        index = self.walk_index
+        return score_walks(
+            index.walks,
+            index.node_position(u),
+            positions,
+            index.first_meetings_batch(u, positions),
+            self._planes(),
+            decay=self.decay,
+            theta=self.theta,
+            stats=self.stats,
+            accuracy=self._accuracy,
+        )
+
+    def _planes(self) -> Planes:
+        """The kernel's input source, chosen by the measure this estimator holds."""
+        if self._sem_matrix is None:
+            return _LazyPlanes(self)
+        self._ensure_step_tables()
+        if self.pair_index is None:
+            self._ensure_so_matrix()
+            return DensePlanes(
+                self._sem_matrix, self._step_weights, self._step_q,
+                so_matrix=self._so_matrix,
             )
-            so, fresh = self._so_value(current_u, current_v)
-            so_evals += fresh
-            if so <= 0:
-                return 0.0, so_evals, 0
-            p_step = numerator / so
-            q_step = (
-                self.walk_index.q_step_probability(current_u, next_u)
-                * self.walk_index.q_step_probability(current_v, next_v)
-            )
-            if q_step <= 0:
-                return 0.0, so_evals, 0
-            score *= p_step * self.decay / q_step
-            if self.theta is not None and score <= self.theta:
-                # Def. 4.5: freeze the walk's value at its first ≤ θ bound.
-                return score, so_evals, 1
-        return score, so_evals, 0
+        # _so_denominator consults the pair_index and counts misses
+        return DensePlanes(
+            self._sem_matrix, self._step_weights, self._step_q,
+            so_lookup=self._so_denominator,
+        )
 
     def _so_denominator(self, pos_u: int, pos_v: int) -> float:
         """``SO(u, v)``, counting fresh evaluations into the stats."""
@@ -652,15 +662,14 @@ class MonteCarloSemSim:
         return float(total), 1
 
     # ------------------------------------------------------------------
-    # Internals — vectorised batch path
+    # Internals — dense tables
     # ------------------------------------------------------------------
     def _ensure_so_matrix(self) -> None:
         """Materialise all SO denominators at once: ``SO = W sem Wᵀ``.
 
         ``W`` is the sparse in-weight matrix (``W[v, a] = W(a, v)``), so the
         build costs O(nnz · n) — negligible next to the n² semantic matrix
-        that gates this path.  One shared table keeps the scalar and batch
-        paths bit-identical.
+        that gates this path.
         """
         if self._so_matrix is not None or self._sem_matrix is None:
             return
@@ -773,11 +782,12 @@ class MonteCarloSemSim:
             all_keys = np.concatenate(keys)
             all_weights = np.concatenate(weights)
             order = np.argsort(all_keys)
-            self._edge_keys = all_keys[order]
+            # ``_edge_keys`` is the "built" flag readers test: publish last.
             self._edge_weights = all_weights[order]
+            self._edge_keys = all_keys[order]
         else:
-            self._edge_keys = np.empty(0, dtype=np.int64)
             self._edge_weights = np.empty(0, dtype=np.float64)
+            self._edge_keys = np.empty(0, dtype=np.int64)
 
     def _edge_weight_lookup(self, current: np.ndarray, chosen: np.ndarray) -> np.ndarray:
         """Vectorised ``W(chosen, current)`` for aligned index arrays."""
@@ -806,65 +816,41 @@ class MonteCarloSemSim:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(sums > 0, edge_weight / sums, 0.0)
 
-    def _cached_so(self, pos_u: int, pos_v: int) -> float:
-        """Memoised ``SO(u, v)`` for the backend's pair_index path.
 
-        Consults the same ``_so_cache``/``pair_index``/stat-counting chain
-        as the pre-seam batch path, so whichever backend asks — and in
-        whatever block order — every (pair → value) is identical and each
-        fresh evaluation is counted exactly once.
-        """
-        pair = (pos_u, pos_v)
-        cached = self._so_cache.get(pair)
-        if cached is None:
-            cached = self._so_denominator(pos_u, pos_v)
-            self._so_cache[pair] = cached
-        return cached
+class _LazyPlanes:
+    """Kernel planes for a measure that is not materialised.
 
-    def _batch_walk_scores(
-        self, pos_u: int, positions: np.ndarray, meetings: np.ndarray
-    ) -> np.ndarray:
-        """Sum of per-walk likelihood-ratio scores for each candidate.
+    ``sem`` and ``SO`` are looked up per call (each distinct pair once,
+    through ``measure.similarity`` and :meth:`MonteCarloSemSim._so_value`)
+    and ``W``/``Q`` are computed for the met walks only, so no n·n or
+    n·n_w·L table is ever allocated.
+    """
 
-        *meetings* is the ``(m, num_walks)`` first-meeting array for
-        ``(pos_u, positions[i])``; the return value's entry *i* equals the
-        scalar path's ``sum_w _walk_score(...)`` for candidate *i*.  The
-        arithmetic itself lives in the compute backend — this method
-        prepares the request (step tables, SO source) and folds the
-        kernel's work counters back into the stats.
-        """
-        self._ensure_step_tables()
-        if self.pair_index is None:
-            self._ensure_so_matrix()
-            so_matrix, so_lookup = self._so_matrix, None
-        else:
-            # _cached_so owns caching and so_evaluations counting, so the
-            # pair_index is consulted exactly as in the scalar path.
-            so_matrix, so_lookup = None, self._cached_so
-        request = WalkScoreRequest(
-            walks=self.walk_index.walks,
-            pos_u=pos_u,
-            positions=positions,
-            meetings=meetings,
-            sem_matrix=self._sem_matrix,
-            step_weights=self._step_weights,
-            step_q=self._step_q,
-            decay=self.decay,
-            theta=self.theta,
-            so_matrix=so_matrix,
-            so_lookup=so_lookup,
+    __slots__ = ("_estimator",)
+
+    def __init__(self, estimator: MonteCarloSemSim) -> None:
+        self._estimator = estimator
+
+    def sem(self, nu, nv, active):
+        estimator = self._estimator
+        nodes = estimator._nodes
+        similarity = estimator.measure.similarity
+        return lookup_plane(
+            nu, nv, active, len(nodes),
+            lambda a, b: similarity(nodes[a], nodes[b]),
         )
-        with kernel_timer(self.backend.name, "batch_walk_scores"):
-            result = self.backend.batch_walk_scores(request)
-        self.stats.add(
-            walks_met=result.walks_met,
-            so_evaluations=result.so_evaluations,
-            walks_pruned=result.walks_pruned,
-        )
-        self._accuracy.update(
-            self.walk_index.num_walks, result.walks_met, int(positions.size)
-        )
-        return result.totals
+
+    def so(self, cu, cv, active):
+        estimator = self._estimator
+        # _so_denominator counts its fresh evaluations into the stats
+        return lookup_plane(
+            cu, cv, active, len(estimator._nodes), estimator._so_denominator
+        ), 0
+
+    def steps(self, row_u, rows_v, rows_walk, walk_u, walk_v, max_k):
+        w_u, q_u = self._estimator._step_rows(walk_u)
+        w_v, q_v = self._estimator._step_rows(walk_v)
+        return w_u, w_v, q_u, q_v
 
 
 class SupportsSoLookup:

@@ -26,7 +26,6 @@ from repro.errors import NodeNotFoundError
 from repro.hin.graph import HIN, Node
 from repro.hin.pair_graph import Pair
 from repro.semantics.base import SemanticMeasure
-from repro.semantics.cache import MatrixMeasure
 from repro.utils.rng import ensure_rng
 
 
@@ -88,25 +87,18 @@ class CoupledWalk:
         return bool(self.pairs) and self.pairs[-1][0] == self.pairs[-1][1]
 
 
+#: Entries kept in a :class:`SemanticAwareWalker` step-distribution memo.
+STEP_MEMO_CAP = 65536
+
+
 class SemanticAwareWalker:
     """Samples semantic-aware coupled walks from a base graph.
 
     Step distributions are memoised per visited pair, so long sampling
     campaigns amortise the ``|I(u)| * |I(v)|`` enumeration cost.  The memo
-    is bounded (least-recently-used eviction): long-lived serving processes
-    visit an unbounded stream of pairs, and the pre-seam unbounded dict
-    grew without limit.  The cap comes from
-    :attr:`repro.backends.BackendConfig.step_memo_cap` when a *backend* or
-    *config* is supplied, else defaults to the ``BackendConfig`` default.
-
-    When a *backend* is given **and** the measure is a
-    :class:`~repro.semantics.cache.MatrixMeasure`, the ``|I(u)| * |I(v)|``
-    mass enumeration is delegated to the backend's vectorised
-    :meth:`~repro.backends.ComputeBackend.step_masses` kernel.  The masses
-    are mathematically identical but float summation order may differ from
-    the scalar loop, so seeded walk streams are only reproducible against
-    the same configuration — the default (no backend) path is untouched
-    and keeps the historical streams bit-for-bit.
+    keeps at most :data:`STEP_MEMO_CAP` entries, evicting the least
+    recently used: long-lived serving processes visit an unbounded stream
+    of pairs.
     """
 
     def __init__(
@@ -114,26 +106,12 @@ class SemanticAwareWalker:
         graph: HIN,
         measure: SemanticMeasure,
         seed: int | np.random.Generator | None = None,
-        *,
-        backend=None,
-        config=None,
     ) -> None:
-        from repro.backends import BackendConfig, resolve_backend
-
         self.graph = graph
         self.measure = measure
         self._rng = ensure_rng(seed)
         self._distributions: OrderedDict[Pair, list[tuple[Pair, float]]] = (
             OrderedDict()
-        )
-        if backend is None and config is None:
-            self.backend = None
-            self._memo_cap = BackendConfig().step_memo_cap
-        else:
-            self.backend = resolve_backend(backend, config)
-            self._memo_cap = self.backend.config.step_memo_cap
-        self._vectorised = self.backend is not None and isinstance(
-            measure, MatrixMeasure
         )
 
     def step_distribution(self, pair: Pair) -> list[tuple[Pair, float]]:
@@ -142,43 +120,13 @@ class SemanticAwareWalker:
         try:
             cached = memo[pair]
         except KeyError:
-            cached = self._compute_distribution(pair)
+            cached = sarw_step_distribution(self.graph, self.measure, pair)
             memo[pair] = cached
-            if self._memo_cap is not None and len(memo) > self._memo_cap:
+            if len(memo) > STEP_MEMO_CAP:
                 memo.popitem(last=False)
         else:
             memo.move_to_end(pair)
         return cached
-
-    def _compute_distribution(self, pair: Pair) -> list[tuple[Pair, float]]:
-        if not self._vectorised:
-            return sarw_step_distribution(self.graph, self.measure, pair)
-        u, v = pair
-        if u not in self.graph:
-            raise NodeNotFoundError(u)
-        if v not in self.graph:
-            raise NodeNotFoundError(v)
-        if u == v:
-            return []
-        in_u = list(self.graph.in_edges(u))
-        in_v = list(self.graph.in_edges(v))
-        if not in_u or not in_v:
-            return []
-        sources_u = [a for a, _, _ in in_u]
-        sources_v = [b for b, _, _ in in_v]
-        weights_u = np.array([w for _, w, _ in in_u], dtype=np.float64)
-        weights_v = np.array([w for _, w, _ in in_v], dtype=np.float64)
-        sem_block = self.measure.block(sources_u, sources_v)
-        masses = self.backend.step_masses(weights_u, weights_v, sem_block)
-        total = float(masses.sum())
-        if total <= 0:
-            return []
-        return [
-            ((a, b), float(mass) / total)
-            for (a, b), mass in zip(
-                ((a, b) for a in sources_u for b in sources_v), masses
-            )
-        ]
 
     def sample_walk(self, start: Pair, max_steps: int) -> CoupledWalk:
         """Sample one SARW from *start*, truncated at *max_steps* steps.

@@ -380,15 +380,7 @@ class WalkIndex:
             if isinstance(candidates, np.ndarray)
             else self.node_positions(candidates)
         )
-        walks_q = self.walks[self.node_position(query)]  # (n_w, t + 1)
-        walks_c = self.walks[positions]                  # (m, n_w, t + 1)
-        same = (walks_c == walks_q[None, :, :]) & (walks_c >= 0) & (
-            walks_q[None, :, :] >= 0
-        )
-        same[:, :, 0] = False
-        met_anywhere = same.any(axis=2)
-        first = same.argmax(axis=2)
-        return np.where(met_anywhere, first, -1).astype(np.int64)
+        return first_meetings(self.walks, self.node_position(query), positions)
 
     def q_step_probability(self, current: int, chosen: int) -> float:
         """Return ``Q[current -> chosen]`` for one step of one walk."""
@@ -422,6 +414,25 @@ class WalkIndex:
             f"WalkIndex(nodes={self.index.num_nodes}, num_walks={self.num_walks}, "
             f"length={self.length}, policy={self.policy.value})"
         )
+
+
+def first_meetings(walks: np.ndarray, row_u: int, rows: np.ndarray) -> np.ndarray:
+    """First-meeting steps of ``walks[row_u]`` against each ``walks[rows[i]]``.
+
+    Returns an int64 ``(len(rows), num_walks)`` array, −1 where a coupled
+    walk never meets.  The comparison is one stacked pass over the
+    tensor; the start offset never counts as a meeting.  *row_u* and
+    *rows* are tensor rows, which a shard's tensor numbers locally.
+    """
+    walks_q = walks[row_u]                # (n_w, t + 1)
+    walks_c = walks[rows]                 # (m, n_w, t + 1)
+    same = (walks_c == walks_q[None, :, :]) & (walks_c >= 0) & (
+        walks_q[None, :, :] >= 0
+    )
+    same[:, :, 0] = False
+    met_anywhere = same.any(axis=2)
+    first = same.argmax(axis=2)
+    return np.where(met_anywhere, first, -1).astype(np.int64)
 
 
 def save_walk_index(index: WalkIndex, path: str | Path) -> None:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backends.base import kernel_timer
+from repro.backends import kernel_timer
 from repro.core.montecarlo import EstimatorStats
 from repro.core.params import validate_decay, validate_theta
 from repro.errors import ConfigurationError, NodeNotFoundError

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backends.base import kernel_timer
+from repro.backends import kernel_timer
 from repro.core.metrics import ENGINE_FINAL_RESIDUAL
 from repro.core.montecarlo import EstimatorStats
 from repro.core.params import validate_decay, validate_theta

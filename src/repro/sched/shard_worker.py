@@ -20,14 +20,14 @@ in-process and deterministically.
 
 Bit-identity
 ------------
-:class:`ShardEngine` replays :class:`~repro.core.montecarlo`'s batch
-arithmetic *verbatim* on the shard's rows: the same identity /
-semantic-gate masks on global positions, the same stacked first-meeting
-comparison, the same :class:`~repro.backends.WalkScoreRequest` kernel
-call.  Per-candidate scores never depend on which other candidates share
-the batch (each row's factor chain and reduction read only that row), so
-scattering a batch across shards and gathering the pieces reproduces the
-unsharded floats exactly — the property suite in
+:class:`ShardEngine` scores through the estimator's own core: the same
+:func:`~repro.core.montecarlo.semantic_gate` on global positions, the
+same :func:`~repro.core.walk_index.first_meetings` and
+:func:`~repro.core.montecarlo.score_walks` on tensor rows.  Per-candidate
+scores never depend on which other candidates share the batch (each
+row's factor chain and reduction read only that row), so scattering a
+batch across shards and gathering the pieces reproduces the unsharded
+floats exactly — the property suite in
 ``tests/properties/test_shard_identity.py`` holds this to ``==``.
 
 Source rows
@@ -37,11 +37,8 @@ can be any node.  The walk tensor and step tables are therefore
 allocated with a few spare **slot rows** past the shard's range; the
 router ships ``(walks[u], W[u], Q[u])`` read from the parent artifact's
 mmap, the worker parks them in a slot (one per worker thread) and points
-the kernel's ``pos_u`` at it.  Because a slot row's contents change from
-request to request, the kernel request carries the source's **global**
-position as its ``source_key`` — the content identity backends key their
-source-row caches on (the blocked backend's u-side key plane would
-otherwise serve one source's plane for another).  Shipped rows are cached
+the kernel's source row at it.  The kernel keeps no state between
+calls, so rewriting a slot row in place is safe.  Shipped rows are cached
 in a :class:`SourceRowLRU` that the router mirrors move-for-move, so
 repeated hot-source requests cost no pipe bytes after the first.
 """
@@ -59,9 +56,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backends import WalkScoreRequest, kernel_timer, resolve_backend
-from repro.core.montecarlo import AccuracyGauges, EstimatorStats
+from repro.backends import DensePlanes
+from repro.core.montecarlo import (
+    AccuracyGauges,
+    EstimatorStats,
+    score_simrank,
+    score_walks,
+    semantic_gate,
+)
 from repro.core.topk import top_k_similar
+from repro.core.walk_index import first_meetings
 from repro.hin.io import hin_from_dict
 from repro.obs.aggregate import collect_snapshot, snapshot_diff
 from repro.obs.trace import span, trace_scope
@@ -116,8 +120,8 @@ class SourceRowLRU:
 class ShardEngine:
     """Scoring over one node range of a sharded MC walk index.
 
-    Replays the estimator's batch arithmetic on the shard's slice; every
-    public method takes **global** node positions and answers only for
+    Runs the estimator's scoring core on the shard's slice; every public
+    method takes **global** node positions and answers only for
     candidates inside ``[lo, hi)``.
     """
 
@@ -137,8 +141,6 @@ class ShardEngine:
         theta: float | None,
         num_walks: int,
         slots: int,
-        backend=None,
-        backend_config=None,
         source_cache: int = DEFAULT_SOURCE_CACHE,
     ) -> None:
         self.shard_index = shard_index
@@ -149,7 +151,6 @@ class ShardEngine:
         self.decay = decay
         self.theta = theta
         self.num_walks = num_walks
-        self.backend = resolve_backend(backend, backend_config)
         self.nodes = nodes
         self.position = {node: index for index, node in enumerate(nodes)}
         self.source_rows = SourceRowLRU(source_cache)
@@ -173,7 +174,14 @@ class ShardEngine:
         self._step_weights = self._with_slots(step_weights)
         self._step_q = self._with_slots(step_q)
         self._sem_matrix = sem_matrix
-        self._so_matrix = so_matrix
+        self._planes = (
+            DensePlanes(
+                sem_matrix, self._step_weights, self._step_q,
+                so_matrix=so_matrix,
+            )
+            if sem_matrix is not None
+            else None
+        )
         self._measure = (
             MatrixMeasure(nodes, sem_matrix) if sem_matrix is not None else None
         )
@@ -192,8 +200,6 @@ class ShardEngine:
         cls,
         path: "str | Path",
         *,
-        backend=None,
-        backend_config=None,
         slots: int = 1,
         source_cache: int = DEFAULT_SOURCE_CACHE,
     ) -> "ShardEngine":
@@ -221,8 +227,6 @@ class ShardEngine:
             theta=None if params.get("theta") is None else float(params["theta"]),
             num_walks=int(params["num_walks"]),
             slots=slots,
-            backend=backend,
-            backend_config=backend_config,
             source_cache=source_cache,
         )
 
@@ -250,23 +254,8 @@ class ShardEngine:
         return row
 
     # ------------------------------------------------------------------
-    # Scoring — the estimator's batch arithmetic, verbatim
+    # Scoring — the estimator's core on the shard's rows
     # ------------------------------------------------------------------
-    def _first_meetings(
-        self, local_u: int, local_positions: np.ndarray
-    ) -> np.ndarray:
-        # WalkIndex.first_meetings_batch on the extended tensor: one
-        # stacked comparison, start offset never counts as a meeting.
-        walks_q = self._walks[local_u]
-        walks_c = self._walks[local_positions]
-        same = (walks_c == walks_q[None, :, :]) & (walks_c >= 0) & (
-            walks_q[None, :, :] >= 0
-        )
-        same[:, :, 0] = False
-        met_anywhere = same.any(axis=2)
-        first = same.argmax(axis=2)
-        return np.where(met_anywhere, first, -1).astype(np.int64)
-
     def score_positions(
         self,
         pos_u: int,
@@ -281,74 +270,36 @@ class ShardEngine:
         if m == 0:
             return np.empty(0, dtype=np.float64)
         self.stats.add(vectorized_pairs=m, queries=m)
-        if self.semantic:
-            return self._score_semsim(pos_u, positions, u_rows, slot)
-        return self._score_simrank(pos_u, positions, u_rows, slot)
-
-    def _score_semsim(self, pos_u, positions, u_rows, slot) -> np.ndarray:
-        scores = np.zeros(positions.size, dtype=np.float64)
-        identity = positions == pos_u
-        scores[identity] = 1.0
+        if not self.semantic:
+            row_u = self._resolve_source(pos_u, u_rows, slot)
+            return score_simrank(
+                first_meetings(self._walks, row_u, positions - self.lo),
+                positions == pos_u,
+                decay=self.decay,
+                stats=self.stats,
+                accuracy=self._accuracy,
+            )
+        # gate and sem on global positions; walks on tensor rows
         sem_row = self._sem_matrix[pos_u, positions]
-        if self.theta is not None:
-            gated = (sem_row <= self.theta) & ~identity
-            self.stats.add(sem_gate_hits=int(gated.sum()))
-        else:
-            gated = np.zeros(positions.size, dtype=bool)
-        active = ~identity & ~gated
-        active_idx = np.flatnonzero(active)
-        if active_idx.size == 0:
+        scores, active = semantic_gate(
+            pos_u, positions, sem_row, self.theta, self.stats
+        )
+        if active.size == 0:
             return scores
-        self.stats.add(walks_examined=int(active_idx.size) * self.num_walks)
-        local_u = self._resolve_source(pos_u, u_rows, slot)
-        local_positions = positions[active_idx] - self.lo
-        meetings = self._first_meetings(local_u, local_positions)
-        request = WalkScoreRequest(
-            walks=self._walks,
-            pos_u=local_u,
-            positions=local_positions,
-            meetings=meetings,
-            sem_matrix=self._sem_matrix,
-            step_weights=self._step_weights,
-            step_q=self._step_q,
+        row_u = self._resolve_source(pos_u, u_rows, slot)
+        rows = positions[active] - self.lo
+        result = score_walks(
+            self._walks,
+            row_u,
+            rows,
+            first_meetings(self._walks, row_u, rows),
+            self._planes,
             decay=self.decay,
             theta=self.theta,
-            so_matrix=self._so_matrix,
-            so_lookup=None,
-            # Slot rows are rewritten in place per source, so local_u does
-            # NOT identify the row's contents — the global position does:
-            # backends that cache source-row derivations key on it.
-            source_key=pos_u,
+            stats=self.stats,
+            accuracy=self._accuracy,
         )
-        with kernel_timer(self.backend.name, "batch_walk_scores"):
-            result = self.backend.batch_walk_scores(request)
-        self.stats.add(
-            walks_met=result.walks_met,
-            so_evaluations=result.so_evaluations,
-            walks_pruned=result.walks_pruned,
-        )
-        self._accuracy.update(
-            self.num_walks, result.walks_met, int(active_idx.size)
-        )
-        scores[active_idx] = sem_row[active_idx] * result.totals / self.num_walks
-        return scores
-
-    def _score_simrank(self, pos_u, positions, u_rows, slot) -> np.ndarray:
-        local_u = self._resolve_source(pos_u, u_rows, slot)
-        meetings = self._first_meetings(local_u, positions - self.lo)
-        identity = positions == pos_u
-        met = meetings >= 0
-        met[identity] = False
-        self.stats.add(
-            walks_examined=int((~identity).sum()) * self.num_walks,
-            walks_met=int(met.sum()),
-        )
-        self._accuracy.update(self.num_walks, int(met.sum()), int(positions.size))
-        with kernel_timer(self.backend.name, "simrank_scores"):
-            scores = self.backend.simrank_scores(
-                meetings, met, self.decay, self.num_walks
-            )
-        scores[identity] = 1.0
+        scores[active] = sem_row[active] * result.totals / self.num_walks
         return scores
 
     # ------------------------------------------------------------------
@@ -413,7 +364,6 @@ class ShardEngine:
             "hi": self.hi,
             "nodes": self.count,
             "semantic": self.semantic,
-            "backend": self.backend.name,
             "cached_sources": len(self.source_rows),
         }
 
@@ -578,8 +528,6 @@ def shard_worker_main(path, conn, config: dict | None = None) -> None:
     try:
         engine = ShardEngine.open(
             path,
-            backend=config.get("backend"),
-            backend_config=config.get("backend_config"),
             slots=config.get("workers", 1),
             source_cache=config.get("source_cache", DEFAULT_SOURCE_CACHE),
         )

@@ -373,8 +373,6 @@ class ShardedRuntime(ServingRuntime):
         thread_factory=None,
         worker_factory: WorkerFactory | None = None,
         breaker_factory: Callable[[int], CircuitBreaker] | None = None,
-        backend=None,
-        backend_config=None,
         source_cache: int = DEFAULT_SOURCE_CACHE,
         shard_timeout: float | None = DEFAULT_SHARD_TIMEOUT,
         stats_interval: float | None = 10.0,
@@ -440,8 +438,6 @@ class ShardedRuntime(ServingRuntime):
         config = {
             "workers": self.workers_per_shard,
             "source_cache": source_cache,
-            "backend": backend,
-            "backend_config": backend_config,
         }
         factory = worker_factory if worker_factory is not None else ProcessShardWorker
         self._clients = [

@@ -340,7 +340,7 @@ class IndexManager:
     def _open_primary(self) -> QueryEngine:
         """One attempt at the configured primary engine (may raise)."""
         if self.index_path is not None:
-            return QueryEngine.open(self.index_path, **self._open_kwargs())
+            return QueryEngine.open(self.index_path)
         return QueryEngine(
             self.graph,
             self.measure,
@@ -361,7 +361,7 @@ class IndexManager:
         reopened instead, covering the repaired-in-place case.
         """
         if self.graph is None:
-            return QueryEngine.open(self.index_path, **self._open_kwargs())
+            return QueryEngine.open(self.index_path)
         engine = QueryEngine(
             self.graph,
             self.measure,
@@ -371,18 +371,6 @@ class IndexManager:
         if self.walks_path is not None and engine.method == "mc":
             engine.save_walks(self.walks_path)
         return engine
-
-    def _open_kwargs(self) -> dict:
-        """Engine kwargs that apply to the artifact-open path.
-
-        Artifacts are backend-agnostic, so backend selection (the only
-        per-engine, non-persisted knob) rides through to ``open``.
-        """
-        return {
-            key: value
-            for key, value in self.engine_kwargs.items()
-            if key in ("backend", "backend_config") and value is not None
-        }
 
     def _fallback_engine(self) -> tuple[QueryEngine, str]:
         """The disk-free degraded engine and its tier name.

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.backends import resolve_backend
 from repro.errors import NodeNotFoundError
 from repro.hin.graph import Node
 from repro.obs.registry import is_enabled
@@ -303,22 +304,11 @@ class QueryService:
             tier=acquisition.tier if acquisition.degraded else None,
         )
 
-    def backend_name(self) -> str | None:
-        """The compute-backend name of the currently handed-out engine.
-
-        ``None`` before the first acquisition — the backend is an engine
-        property, so there is nothing to report until one exists.
-        """
-        acquisition = self.manager._acquisition
-        if acquisition is None:
-            return None
-        return getattr(acquisition.engine, "backend_name", None)
-
     def health(self) -> dict:
         """The manager's health snapshot plus service-level settings."""
         payload = self.manager.health()
         payload["deadline_ms"] = self.deadline_ms
-        payload["backend"] = self.backend_name()
+        payload["backend"] = resolve_backend().name
         return payload
 
     def __repr__(self) -> str:

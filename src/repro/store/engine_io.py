@@ -108,15 +108,24 @@ def canonical_params(
 
 
 def engine_identity(
-    graph: HIN, measure: object | None, params: Mapping[str, object]
+    graph: HIN,
+    measure: object | None,
+    params: Mapping[str, object],
+    measure_fingerprint: str | None = None,
 ) -> tuple[str, dict]:
     """Return ``(key, identity)`` for one (graph, measure, params) triple.
 
     *measure* must be the measure as the caller supplied it (pre-
     materialisation), so a cold build and a later warm lookup agree.
+    *measure_fingerprint*, when given, is that measure's fingerprint
+    computed earlier, and *measure* is not hashed again.
     """
     graph_fp = fingerprint_graph(graph)
-    measure_fp = fingerprint_measure(measure)
+    measure_fp = (
+        measure_fingerprint
+        if measure_fingerprint is not None
+        else fingerprint_measure(measure)
+    )
     key = manifest_key(
         method=str(params["method"]),
         graph_fingerprint=graph_fp,

@@ -63,15 +63,16 @@ class TestSemSimBatch:
         assert stats.batch_queries == 1
         assert stats.batch_pairs == 3
         assert stats.vectorized_pairs == 3
-        assert stats.scalar_fallbacks == 0
         assert stats.queries == 3
 
-    def test_scalar_fallback_for_lazy_measure(self, setup):
+    def test_lazy_measure_runs_the_kernel(self, setup):
         _, lazy_measure, _, index = setup
         estimator = MonteCarloSemSim(index, lazy_measure, decay=0.6)
         batch = estimator.similarity_batch("x1", ["x2", "x3"])
-        assert estimator.stats.scalar_fallbacks == 2
-        assert estimator.stats.vectorized_pairs == 0
+        assert estimator.stats.vectorized_pairs == 2
+        # a lazy measure never allocates the dense tables
+        assert estimator._step_weights is None
+        assert estimator._so_matrix is None
         expected = [estimator.similarity("x1", v) for v in ("x2", "x3")]
         np.testing.assert_array_equal(batch, expected)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import sarw
 from repro.core.sarw import SemanticAwareWalker, sarw_step_distribution
 from repro.core.pair_engine import semsim_via_pair_graph
 from repro.datasets import figure2_graph
@@ -95,3 +96,43 @@ class TestWalker:
         graph, measure = build_taxonomy_graph()
         walker = SemanticAwareWalker(graph, measure, seed=1)
         assert walker.estimate_similarity("x1", "x2", 0.6, num_walks=0, max_steps=5) == 0.0
+
+
+class TestStepMemoCap:
+    """The walker's step-distribution memo is a bounded LRU."""
+
+    def test_memo_never_exceeds_cap(self, monkeypatch):
+        monkeypatch.setattr(sarw, "STEP_MEMO_CAP", 3)
+        graph, measure = build_taxonomy_graph()
+        walker = SemanticAwareWalker(graph, measure, seed=0)
+        nodes = sorted(graph.nodes(), key=str)
+        for u in nodes:
+            for v in nodes:
+                walker.step_distribution((u, v))
+                assert len(walker._distributions) <= 3
+
+    def test_eviction_is_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(sarw, "STEP_MEMO_CAP", 2)
+        graph, measure = build_taxonomy_graph()
+        walker = SemanticAwareWalker(graph, measure, seed=0)
+        a, b, c = sorted(graph.nodes(), key=str)[:3]
+        walker.step_distribution((a, a))
+        walker.step_distribution((b, b))
+        walker.step_distribution((a, a))  # refresh (a, a)
+        walker.step_distribution((c, c))  # evicts (b, b), the LRU entry
+        assert (a, a) in walker._distributions
+        assert (b, b) not in walker._distributions
+        assert (c, c) in walker._distributions
+
+    def test_capped_memo_returns_same_distributions(self, monkeypatch):
+        graph, measure = build_taxonomy_graph()
+        unbounded = SemanticAwareWalker(graph, measure, seed=0)
+        nodes = sorted(graph.nodes(), key=str)[:4]
+        expected = {
+            (u, v): unbounded.step_distribution((u, v))
+            for u in nodes for v in nodes
+        }
+        monkeypatch.setattr(sarw, "STEP_MEMO_CAP", 1)
+        capped = SemanticAwareWalker(graph, measure, seed=0)
+        for pair, distribution in expected.items():
+            assert capped.step_distribution(pair) == distribution

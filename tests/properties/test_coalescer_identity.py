@@ -14,9 +14,13 @@ thread-interleaving noise; the thread-level version of the same claim is
 ``tests/sched/test_concurrency.py``.
 """
 
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import QueryEngine
 from repro.sched import ServingRuntime
 from repro.serve import IndexManager, QueryService
 
@@ -105,3 +109,39 @@ def test_mixed_kind_batches_bit_identical(
     assert f_topk.result(timeout=1).results == tuple(
         engine.top_k(u, min(3, len(candidates)))
     )
+
+
+@pytest.mark.concurrency
+def test_shared_engine_thread_stress_bit_stable():
+    """Hammer one shared engine from many threads: every concurrent
+    ``score_batch`` answer equals the single-threaded one."""
+    graph, measure = random_hin_with_measure(7, num_entities=10, extra_edges=14)
+    engine = QueryEngine(
+        graph, measure, method="mc", num_walks=40, length=8, seed=7
+    )
+    nodes = sorted(graph.nodes(), key=str)
+    sources = nodes[:4]
+    expected = {u: np.asarray(engine.score_batch(u, nodes)) for u in sources}
+
+    num_threads, rounds = 8, 5
+    barrier = threading.Barrier(num_threads)
+    failures: list[str] = []
+
+    def worker(thread_id: int) -> None:
+        barrier.wait()
+        for round_id in range(rounds):
+            u = sources[(thread_id + round_id) % len(sources)]
+            got = np.asarray(engine.score_batch(u, nodes))
+            if not np.array_equal(got, expected[u]):
+                failures.append(
+                    f"thread {thread_id} round {round_id} source {u!r}"
+                )
+
+    threads = [
+        threading.Thread(target=worker, args=(i,)) for i in range(num_threads)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not failures, failures

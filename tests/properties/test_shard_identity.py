@@ -21,10 +21,7 @@ compacted met-only array; see ``test_batch_vs_scalar.py``).
 
 Workers run on in-process threads (the same ``shard_worker_main`` the
 forked workers execute) and dispatch is inline, so hypothesis explores
-plans and estimators with zero interleaving noise.  The shard workers'
-compute backend is drawn too — every ``exact`` backend must uphold the
-guarantee, and the blocked backend's source-row caching interacts with
-the sharded worker's in-place slot-row rewrites.
+plans and estimators with zero interleaving noise.
 """
 
 import shutil
@@ -76,12 +73,9 @@ def _plan_from_spec(spec, num_nodes) -> ShardPlan:
     semantic=st.booleans(),
     spec=SHARD_SPECS,
     workload_seed=st.integers(0, 1_000),
-    # every exact backend must uphold the guarantee — the blocked
-    # backend's source-row cache sees the sharded slot-row rewrites
-    backend=st.sampled_from(["numpy", "blocked"]),
 )
 def test_sharded_results_bit_identical_to_unsharded(
-    seed, num_entities, extra_edges, semantic, spec, workload_seed, backend
+    seed, num_entities, extra_edges, semantic, spec, workload_seed
 ):
     graph, measure = random_hin_with_measure(
         seed, num_entities=num_entities, extra_edges=extra_edges
@@ -106,7 +100,7 @@ def test_sharded_results_bit_identical_to_unsharded(
         runtime = ShardedRuntime(
             QueryService(manager), paths,
             worker_factory=ThreadShardWorker, autostart=False,
-            max_batch=16, queue_depth=10_000, backend=backend,
+            max_batch=16, queue_depth=10_000,
         )
         rng = np.random.default_rng(workload_seed)
         sources = [nodes[int(rng.integers(len(nodes)))] for _ in range(3)]

@@ -218,22 +218,16 @@ class TestScatterGatherParity:
             ] == 1
 
 
-class TestBackendParity:
-    """Sharded identity must hold for every exact backend, not just numpy.
+class TestSlotRows:
+    """Shipped source rows are parked in one slot row per worker thread,
+    so serving several *distinct* sources through the same shard rewrites
+    that row in place; every answer must still be the unsharded one."""
 
-    Regression for the blocked backend's u-side key-plane cache: shipped
-    source rows are parked in one slot row per worker thread, so serving
-    several *distinct* sources through the same shard rewrites that row
-    in place — a cache keyed on row position alone served the first
-    source's plane for every later one.
-    """
-
-    @pytest.mark.parametrize("backend", ["numpy", "blocked"])
     def test_distinct_sources_through_one_slot_stay_bit_identical(
-        self, make_sharded, sharded_model, nodes, backend
+        self, make_sharded, sharded_model, nodes
     ):
         _, _, engine, _, _ = sharded_model
-        runtime = make_sharded(2, backend=backend)
+        runtime = make_sharded(2)
         sources = nodes[:5] + [nodes[0]]  # revisit after the slot moved on
         futures = [(u, runtime.submit_batch(u, nodes)) for u in sources]
         runtime.close(drain=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import threading
 
 import pytest
@@ -131,6 +132,29 @@ class TestObservability:
         assert transitions['circuit_transitions_total{name="gaugetest",to="open"}'] == 1
         assert transitions['circuit_transitions_total{name="gaugetest",to="half_open"}'] == 1
         assert transitions['circuit_transitions_total{name="gaugetest",to="closed"}'] == 1
+
+    def test_transition_logs_at_info_instead_of_raising(self, clock):
+        """``LogRecord`` reserves ``name``: the transition event must not
+        pass it as a field, or every transition raises under INFO."""
+        logger = logging.getLogger("repro.serve.breaker")
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler(level=logging.INFO)
+        handler.emit = records.append
+        previous = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+        try:
+            breaker = CircuitBreaker(
+                "logtest", failure_threshold=1, cooldown=5.0, clock=clock
+            )
+            breaker.record_failure()
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(previous)
+        assert breaker.state is CircuitState.OPEN
+        (record,) = [r for r in records if r.getMessage() == "circuit.transition"]
+        assert record.breaker == "logtest"
+        assert record.to == "open"
 
 
 class TestValidationAndThreads:

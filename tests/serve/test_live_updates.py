@@ -173,7 +173,6 @@ class TestGenerationRetention:
         assert manager.acquire().engine.cache_key == served[-1]
 
     def test_return_to_base_graph_keeps_base_artifact(self, tmp_path, model):
-        from repro.semantics.cache import MatrixMeasure
         from repro.serve import IndexManager
 
         graph, measure = model
@@ -181,11 +180,10 @@ class TestGenerationRetention:
             (a, b) for a in graph.nodes() for b in graph.nodes()
             if a != b and not graph.has_edge(a, b)
         )
-        # a measure that is already dense keys generations exactly like the
+        # generations are keyed with the caller's (lazy) measure like the
         # base, so undoing a write lands on the base key again
-        dense = MatrixMeasure.from_measure(measure, list(graph.nodes()))
         manager = IndexManager(
-            graph, dense, cache_dir=tmp_path / "store",
+            graph, measure, cache_dir=tmp_path / "store",
             engine_kwargs=dict(ENGINE_KWARGS), background_rebuild=False,
         )
         base_key = manager.acquire().engine.cache_key

@@ -85,7 +85,7 @@ class TestConstruction:
         assert engine.num_walks == num_walks
         assert engine.length == length
 
-    def test_repr_names_backend(self, mc_engine, iterative_engine):
+    def test_repr_names_index(self, mc_engine, iterative_engine):
         assert "WalkIndex" in repr(mc_engine)
         assert "SemSim" in repr(iterative_engine)
 
